@@ -50,6 +50,10 @@ _ALGORITHM_NAMES = {v: k for k, v in ALGORITHM_IDS.items()}
 _POLICY_IDS = {"canonical": 0, "keyed": 1}
 _POLICY_NAMES = {v: k for k, v in _POLICY_IDS.items()}
 
+# both travel in one header byte
+MAX_ROUNDS = 255
+MAX_TARGET_WIDTH = 255
+
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
@@ -152,6 +156,17 @@ class ContainerMeta:
     original_bit_length: int = 0
 
 
+def check_rounds(rounds: int) -> None:
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {rounds}")
+
+
+def check_target_width(m: int) -> None:
+    if not 1 <= m <= MAX_TARGET_WIDTH:
+        raise ValueError(
+            f"target width must be in [1, {MAX_TARGET_WIDTH}], got {m}")
+
+
 def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
     if meta.algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {meta.algorithm!r}")
@@ -164,15 +179,13 @@ def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
     if meta.algorithm == "fma":
         if flag_count:
             raise ValueError("fma containers carry no flag sections")
-        if not 1 <= meta.m <= 255:
-            raise ValueError(f"target width must be in [1, 255], got {meta.m}")
+        check_target_width(meta.m)
         if meta.policy not in _POLICY_IDS:
             raise ValueError(f"unknown policy {meta.policy!r}")
         if meta.original_bit_length < 0:
             raise ValueError("original bit length must be nonnegative")
     else:
-        if not 1 <= meta.rounds <= 255:
-            raise ValueError(f"rounds must be in [1, 255], got {meta.rounds}")
+        check_rounds(meta.rounds)
         if flag_count != meta.rounds:
             raise ValueError(
                 f"{meta.rounds} rounds but {flag_count} flag sections")

@@ -36,11 +36,15 @@ def _fma_encode_threaded(bits: str, cfg: fma.FmaConfig, threads: int) -> fma.Fma
 def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
                  rounds: int = 1, multiplicities=None, m: int = 0,
                  policy: str = "canonical", threads: int = 1):
-    """Encode to (meta, flag streams, core/payload), ready for serialization."""
+    """Encode to (meta, flag streams, core/payload), ready for serialization.
+
+    Parameters the container cannot hold are rejected before any encoding.
+    """
     if algorithm == "fma":
         target = m if m else fma.min_width(n)
         cfg = fma.FmaConfig(chunk_width=n, target_width=target,
                             policy=policy, seed=seed)
+        bitio.check_target_width(cfg.target_width)
         stream = _fma_encode_threaded(bits, cfg, threads)
         meta = bitio.ContainerMeta(
             algorithm="fma", n=n, seed=seed, m=cfg.target_width, policy=policy,
@@ -56,6 +60,7 @@ def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
         cb = multichannel.build_binomial_codebook(n)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    bitio.check_rounds(rounds)
     out = multichannel.transform(bits, cb, rounds)
     meta = bitio.ContainerMeta(
         algorithm=algorithm, n=n, seed=seed, rounds=out.rounds_executed,

@@ -22,13 +22,16 @@ uniquely decodable forward by splitting before each '1'.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice
 
 from .errors import (
     BitAlignmentError,
     ClassOverflowError,
     CorruptStreamError,
+    DecodeError,
     InfeasibleMultiplicitiesError,
     MalformedFlagError,
     UnknownCodewordError,
@@ -37,6 +40,16 @@ from .prng import keyed_shuffle
 
 _N_MIN_MV2 = 2
 _N_MAX = 16
+
+# Rounds look symbols up g at a time through tables of 2^(g*N) entries:
+# keys are at most _KEY_BITS wide, and a round uses g only when it has at
+# least _TABLE_SHARE times as many symbols as the table has entries, so
+# building the table costs a small share of the round.
+_KEY_BITS = 12
+_TABLE_SHARE = 4
+# Input bits (encode) or flag bits (decode) handled per block; bounds the
+# key strings alive at once.
+_BLOCK_BITS = 1 << 16
 
 # Canonical two-bit codebook: the seed-0 preset the multi-round walkthrough
 # and all goldens are pinned to.
@@ -79,6 +92,13 @@ class Codebook:
     value itself for mv2/clone books, ceil(log2 C(N, K)) for binomial.
     Treat all mappings as read-only; the derived lookup tables are built
     once on first use.
+
+    Rounds on long inputs look symbols up g at a time (see `_group_size`).
+    The grouped tables cover every sequence of g symbols, 2^(g*N) entries,
+    and are built the first time a round of that direction and g runs on
+    this codebook: for encode, key -> core and key -> flags, where a key is
+    g symbols concatenated; for decode, (flag group, core group) -> symbols
+    and flag group -> core width.
     """
 
     symbol_width: int
@@ -100,6 +120,42 @@ class Codebook:
                      for k in self.class_width}
         return {sym: (code, flagwords[k])
                 for sym, (code, k) in self.encode_map.items()}
+
+    @cached_property
+    def _group_tables(self) -> dict:
+        # (direction, g) -> tables, filled by _encode_tables/_decode_tables
+        return {}
+
+    def _groups(self, g: int) -> list[tuple[str, str, str]]:
+        """(symbols, core, flags) of every sequence of g symbols."""
+        rows = [("", "", "")]
+        for _ in range(g):
+            rows = [(s + sym, c + code, f + flag) for s, c, f in rows
+                    for sym, (code, flag) in self._symbol_pairs.items()]
+        return rows
+
+    def _encode_tables(self, g: int):
+        """(key -> core, key -> flags, key splitter) for g-symbol keys."""
+        tables = self._group_tables.get(("encode", g))
+        if tables is None:
+            rows = self._groups(g)
+            tables = ({s: c for s, c, _ in rows}, {s: f for s, _, f in rows},
+                      re.compile(f"(?s).{{{g * self.symbol_width}}}").findall)
+            self._group_tables["encode", g] = tables
+        return tables
+
+    def _decode_tables(self, g: int):
+        """((flag group, core group) -> symbols, flag group -> core width,
+        flag group finder) for groups of g codewords."""
+        tables = self._group_tables.get(("decode", g))
+        if tables is None:
+            rows = self._groups(g)
+            # a group holding a class this book lacks misses both tables
+            tables = ({(f, c): s for s, c, f in rows},
+                      {f: len(c) for _, c, f in rows},
+                      re.compile(f"(?:10{{0,{self.symbol_width}}}){{{g}}}").findall)
+            self._group_tables["decode", g] = tables
+        return tables
 
 
 def _check_n(n: int, minimum: int) -> None:
@@ -227,24 +283,65 @@ class MultiRoundOutput:
     input_bit_lengths: list[int]
 
 
+def _group_size(n: int, symbols: int) -> int:
+    """Symbols per table key for a round of `symbols` N-bit symbols: the
+    largest g with g*N <= _KEY_BITS and a table of at most 1/_TABLE_SHARE
+    as many entries as symbols; 0 when even g = 1 is too large."""
+    g = _KEY_BITS // n
+    while g and _TABLE_SHARE << (g * n) > symbols:
+        g -= 1
+    return g
+
+
+def _encode_symbols(bits: str, cb: Codebook) -> tuple[str, str]:
+    """Per-symbol encode, the reference path; KeyError names a bad symbol."""
+    n = cb.symbol_width
+    pairs = cb._symbol_pairs
+    encoded = [pairs[bits[i:i + n]] for i in range(0, len(bits), n)]
+    return "".join(p[0] for p in encoded), "".join(p[1] for p in encoded)
+
+
+def _encode_groups(bits: str, cb: Codebook, g: int) -> tuple[str, str] | None:
+    """Table encode of whole g-symbol keys and the tail per symbol; None
+    on a table miss, which only a non-bit character causes."""
+    core_of, flags_of, split = cb._encode_tables(g)
+    key_bits = g * cb.symbol_width
+    full = len(bits) - len(bits) % key_bits
+    step = _BLOCK_BITS - _BLOCK_BITS % key_bits
+    cores, flags = [], []
+    try:
+        for lo in range(0, full, step):
+            keys = split(bits, lo, min(lo + step, full))
+            cores.append("".join(map(core_of.__getitem__, keys)))
+            flags.append("".join(map(flags_of.__getitem__, keys)))
+        tail = _encode_symbols(bits[full:], cb)
+    except KeyError:
+        return None
+    cores.append(tail[0])
+    flags.append(tail[1])
+    return "".join(cores), "".join(flags)
+
+
 def encode_round(bits: str, cb: Codebook) -> RoundOutput:
     """Recode one round: `bits` must already be a multiple of the width."""
     n = cb.symbol_width
     if len(bits) % n:
         raise BitAlignmentError(
             f"input length {len(bits)} is not a multiple of {n}")
-    pairs = cb._symbol_pairs
-    try:
-        encoded = [pairs[bits[i:i + n]] for i in range(0, len(bits), n)]
-    except KeyError as exc:
-        raise ValueError(f"input is not a clean bit string: {exc}") from None
-    return RoundOutput(core="".join(p[0] for p in encoded),
-                       flags="".join(p[1] for p in encoded),
+    g = _group_size(n, len(bits) // n)
+    channels = _encode_groups(bits, cb, g) if g else None
+    if channels is None:
+        try:
+            channels = _encode_symbols(bits, cb)
+        except KeyError as exc:
+            raise ValueError(f"input is not a clean bit string: {exc}") from None
+    return RoundOutput(core=channels[0], flags=channels[1],
                        input_bit_length=len(bits))
 
 
-def decode_round(core: str, flags: str, cb: Codebook) -> str:
-    """Invert one round from its two channels."""
+def _decode_symbols(core: str, flags: str, cb: Codebook) -> str:
+    """Per-symbol decode, the reference path and the source of every
+    decode error."""
     n = cb.symbol_width
     classes = flag_decode(flags, n)
     widths = []
@@ -267,6 +364,57 @@ def decode_round(core: str, flags: str, cb: Codebook) -> str:
             raise UnknownCodewordError(f"no symbol for code {code!r} in class {k}")
         symbols.append(sym)
     return "".join(symbols)
+
+
+def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
+    """Table decode of whole groups of g codewords and the tail per symbol.
+
+    The flag stream is cut into windows that end before a '1', so each
+    holds whole codewords. None when the groups do not tile the flags, a
+    (flag group, core group) pair is not in the table, or the core length
+    does not match; the caller then reruns the round per symbol.
+    """
+    symbols_of, width_of, find_groups = cb._decode_tables(g)
+    out = []
+    start = pos = 0
+    last = False
+    while not last:
+        end = flags.find("1", start + _BLOCK_BITS)
+        last = end < 0
+        if last:
+            end = len(flags)
+        groups = find_groups(flags, start, end)
+        matched = "".join(groups)
+        if not flags.startswith(matched, start):
+            return None
+        start += len(matched)
+        if not groups and not last:
+            return None  # a whole window of valid flags holds a group
+        try:
+            offsets = list(accumulate(map(width_of.__getitem__, groups),
+                                      initial=pos))
+            cuts = map(slice, offsets, islice(offsets, 1, None))
+            core_groups = map(core.__getitem__, cuts)
+            out.append("".join(map(symbols_of.__getitem__,
+                                   zip(groups, core_groups))))
+        except KeyError:
+            return None
+        pos = offsets[-1]
+    try:
+        out.append(_decode_symbols(core[pos:], flags[start:], cb))
+    except DecodeError:
+        return None
+    return "".join(out)
+
+
+def decode_round(core: str, flags: str, cb: Codebook) -> str:
+    """Invert one round from its two channels."""
+    g = _group_size(cb.symbol_width, flags.count("1"))
+    # with g = 1 the table decode measured slower than the per-symbol loop
+    symbols = _decode_groups(core, flags, cb, g) if g > 1 else None
+    if symbols is None:
+        symbols = _decode_symbols(core, flags, cb)
+    return symbols
 
 
 def transform(bits: str, cb: Codebook, rounds: int) -> MultiRoundOutput:

@@ -223,6 +223,20 @@ class TestEncodeDecode:
                            "--mults", "3,1", "--in", str(source), "--out", "-")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--algo", "fma", "--n", "4", "--m", "256"),
+        ("--algo", "mv2", "--n", "2", "--rounds", "256"),
+    ])
+    def test_container_limits_are_usage_errors(self, tmp_path, capsys, argv):
+        source = tmp_path / "src.bin"
+        source.write_bytes(bytes(range(256)) * 4)
+        packed = tmp_path / "packed.gpnc"
+        code, _, err = run(capsys, "encode", *argv, "--in", str(source),
+                           "--out", str(packed))
+        assert code == 2
+        assert "must be in [1, 255], got 256" in err
+        assert not packed.exists()
+
     def test_stdin_stdout(self, tmp_path, capsys, monkeypatch):
         import io
         import sys

@@ -1,0 +1,182 @@
+"""Grouped-symbol tables against the per-symbol reference path.
+
+Rounds on long inputs look symbols up g at a time; the per-symbol loops
+`_encode_symbols`/`_decode_symbols` stay as the reference. Every test
+here compares the two, on valid channels and on damaged ones.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpncodec import multichannel
+from gpncodec.errors import GpnError
+from gpncodec.multichannel import (
+    _KEY_BITS,
+    _TABLE_SHARE,
+    _decode_groups,
+    _decode_symbols,
+    _encode_groups,
+    _encode_symbols,
+    _group_size,
+    build_binomial_codebook,
+    build_clone_codebook,
+    build_mv2_codebook,
+    decode_round,
+    encode_round,
+    inverse_transform,
+    transform,
+)
+
+from helpers import random_bits, random_feasible_multiplicities
+
+# decode windows of at least this many flag bits always hold a whole
+# group: 12 codewords of at most 2 bits (binomial N=1) is the widest group
+_MIN_WINDOW = 24
+
+
+@st.composite
+def books(draw):
+    """mv2 N=2..8 with and without a key, clone N=1..8, binomial N=1..8."""
+    family = draw(st.sampled_from(["mv2", "mv2-keyed", "clone", "binomial"]))
+    if family == "binomial":
+        return build_binomial_codebook(draw(st.integers(1, 8)))
+    if family == "clone":
+        n = draw(st.integers(1, 8))
+        mults = random_feasible_multiplicities(
+            n, random.Random(draw(st.integers(0, 2 ** 32))))
+        return build_clone_codebook(n, mults, draw(st.integers(0, 2 ** 64 - 1)))
+    seed = draw(st.integers(1, 2 ** 64 - 1)) if family == "mv2-keyed" else 0
+    return build_mv2_codebook(draw(st.integers(2, 8)), seed)
+
+
+def per_symbol():
+    """Context in which every round takes the per-symbol path."""
+    return mock.patch.object(multichannel, "_group_size", lambda n, symbols: 0)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except (GpnError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def damage(rng, bits):
+    """A flipped bit, a truncation or an extension of a channel."""
+    kind = rng.choice(["flip", "truncate", "extend"])
+    if kind == "flip" and bits:
+        i = rng.randrange(len(bits))
+        return bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+    if kind == "truncate" and bits:
+        return bits[:rng.randrange(len(bits))]
+    return bits + random_bits(rng, rng.randint(1, 12))
+
+
+class TestGroupSize:
+    def test_thresholds(self):
+        assert _group_size(2, _TABLE_SHARE << 12) == 6
+        assert _group_size(2, (_TABLE_SHARE << 12) - 1) == 5
+        assert _group_size(8, _TABLE_SHARE << 8) == 1
+        assert _group_size(8, (_TABLE_SHARE << 8) - 1) == 0
+        assert _group_size(6, 1 << 30) == 2
+        assert _group_size(13, 1 << 30) == 0
+        assert _group_size(1, 0) == 0
+
+    def test_keys_stay_within_limit(self):
+        for n in range(1, 17):
+            g = _group_size(n, 1 << 40)
+            assert g * n <= _KEY_BITS
+            assert g == _KEY_BITS // n
+
+
+class TestGroupedMatchesPerSymbol:
+    @settings(max_examples=150)
+    @given(books(), st.data(), st.integers(0, 2 ** 32),
+           st.sampled_from([_MIN_WINDOW, 40, 100, 1 << 16]))
+    def test_every_group_size_and_tail(self, cb, data, content_seed, block):
+        n = cb.symbol_width
+        g = data.draw(st.integers(1, _KEY_BITS // n), label="g")
+        groups = data.draw(st.integers(0, 40), label="groups")
+        tail = data.draw(st.integers(0, g - 1), label="tail")
+        bits = random_bits(random.Random(content_seed), n * (g * groups + tail))
+        core, flags = _encode_symbols(bits, cb)
+        with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            assert _encode_groups(bits, cb, g) == (core, flags)
+            assert _decode_groups(core, flags, cb, g) == bits
+        assert _decode_symbols(core, flags, cb) == bits
+
+    @settings(max_examples=40)
+    @given(books(), st.data(), st.integers(0, 2 ** 32))
+    def test_rounds_on_both_sides_of_each_threshold(self, cb, data, content_seed):
+        n = cb.symbol_width
+        g = data.draw(st.integers(1, _KEY_BITS // n), label="g")
+        symbols = (_TABLE_SHARE << (g * n)) + data.draw(st.integers(-g, g))
+        bits = random_bits(random.Random(content_seed), n * max(0, symbols))
+        out = encode_round(bits, cb)
+        assert (out.core, out.flags) == _encode_symbols(bits, cb)
+        assert decode_round(out.core, out.flags, cb) == bits
+
+    @settings(max_examples=40)
+    @given(books(), st.integers(0, 40_000), st.integers(1, 4),
+           st.integers(0, 2 ** 32))
+    def test_multi_round_transform(self, cb, length, rounds, content_seed):
+        bits = random_bits(random.Random(content_seed), length)
+        out = transform(bits, cb, rounds)
+        with per_symbol():
+            reference = transform(bits, cb, rounds)
+            assert inverse_transform(out, cb) == bits
+        assert out == reference
+        assert inverse_transform(out, cb) == bits
+
+    @pytest.mark.parametrize("cb", [build_mv2_codebook(2), build_binomial_codebook(1)])
+    def test_empty_input(self, cb):
+        assert _encode_groups("", cb, _KEY_BITS // cb.symbol_width) == ("", "")
+        assert _decode_groups("", "", cb, _KEY_BITS // cb.symbol_width) == ""
+        assert transform("", cb, 3) == transform("", cb, 1)
+
+
+class TestErrorParity:
+    @settings(max_examples=150)
+    @given(books(), st.data(), st.integers(0, 2 ** 32), st.randoms())
+    def test_damaged_channels(self, cb, data, content_seed, rng):
+        n = cb.symbol_width
+        g = data.draw(st.integers(2, max(2, _KEY_BITS // n)), label="g")
+        bits = random_bits(random.Random(content_seed),
+                           n * data.draw(st.integers(0, 300), label="symbols"))
+        core, flags = _encode_symbols(bits, cb)
+        if data.draw(st.booleans(), label="damage flags"):
+            flags = damage(rng, flags)
+        else:
+            core = damage(rng, core)
+        expected = outcome(_decode_symbols, core, flags, cb)
+        grouped = _decode_groups(core, flags, cb, g)
+        if grouped is not None:
+            assert grouped == expected
+        with mock.patch.object(multichannel, "_group_size", lambda n, s: g):
+            assert outcome(decode_round, core, flags, cb) == expected
+
+    @settings(max_examples=40)
+    @given(books(), st.integers(2_000, 20_000), st.integers(1, 3),
+           st.integers(0, 2 ** 32), st.randoms())
+    def test_damaged_multi_round_bundle(self, cb, length, rounds, content_seed, rng):
+        out = transform(random_bits(random.Random(content_seed), length), cb, rounds)
+        i = rng.randrange(out.rounds_executed)
+        flags = list(out.flags)
+        flags[i] = damage(rng, flags[i])
+        bad = multichannel.MultiRoundOutput(out.rounds_executed, flags, out.core,
+                                            out.input_bit_lengths)
+        with per_symbol():
+            expected = outcome(inverse_transform, bad, cb)
+        assert outcome(inverse_transform, bad, cb) == expected
+
+    def test_non_bit_character(self):
+        cb = build_mv2_codebook(2)
+        bits = "01" * 20_000 + "0x" + "10" * 10
+        with pytest.raises(ValueError, match="input is not a clean bit string: '0x'"):
+            encode_round(bits, cb)
+        assert _encode_groups(bits, cb, 6) is None
