@@ -83,8 +83,7 @@ def cmd_encode(args) -> int:
     bits = bitio.unpack_bits(data)
     meta, flag_streams, payload = codec.encode_parts(
         bits, algorithm=args.algo, n=args.n, seed=args.seed, rounds=args.rounds,
-        multiplicities=args.mults, m=args.m, policy=args.policy,
-        threads=args.threads)
+        multiplicities=args.mults, m=args.m, policy=args.policy)
     if args.flags_out:
         # two-channel split: same layout, with the other channel's sections empty
         _write_bytes(args.outfile,
@@ -230,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--m", type=int, default=0, help="fma target width override")
     enc.add_argument("--mults", type=_parse_mults, default=None,
                      help="clone class sizes M1,...,MN")
-    enc.add_argument("--threads", type=int, default=1,
-                     help="fma chunk workers; output is identical for any value")
     enc.add_argument("--in", dest="infile", required=True)
     enc.add_argument("--out", dest="outfile", required=True)
     enc.add_argument("--flags-out", default=None,

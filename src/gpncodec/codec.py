@@ -6,36 +6,13 @@ validation on the way back in are reported as container errors: at that
 point they describe untrusted data, not caller arguments.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import bitio, fma, multichannel
 from .errors import ContainerFormatError
 
 
-def _fma_encode_threaded(bits: str, cfg: fma.FmaConfig, threads: int) -> fma.FmaStream:
-    """Chunk-parallel encode; per-chunk seeding keeps it order independent."""
-    n = cfg.chunk_width
-    padded = bits + "0" * (-len(bits) % n)
-    total = len(padded) // n
-    if threads <= 1 or total < 2 * threads:
-        return fma.fma_encode(bits, cfg)
-
-    def encode_block(bounds):
-        lo, hi = bounds
-        return "".join(
-            fma.fma_encode_chunk(int(padded[i * n:(i + 1) * n], 2), cfg, i)
-            for i in range(lo, hi))
-
-    step = (total + threads - 1) // threads
-    blocks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        payload = "".join(pool.map(encode_block, blocks))
-    return fma.FmaStream(total, payload, len(bits))
-
-
 def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
                  rounds: int = 1, multiplicities=None, m: int = 0,
-                 policy: str = "canonical", threads: int = 1):
+                 policy: str = "canonical"):
     """Encode to (meta, flag streams, core/payload), ready for serialization.
 
     Parameters the container cannot hold are rejected before any encoding.
@@ -45,7 +22,7 @@ def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
         cfg = fma.FmaConfig(chunk_width=n, target_width=target,
                             policy=policy, seed=seed)
         bitio.check_target_width(cfg.target_width)
-        stream = _fma_encode_threaded(bits, cfg, threads)
+        stream = fma.fma_encode(bits, cfg)
         meta = bitio.ContainerMeta(
             algorithm="fma", n=n, seed=seed, m=cfg.target_width, policy=policy,
             original_bit_length=stream.original_bit_length)

@@ -6,8 +6,19 @@ word of a slowly growing weight system, M >= N. Slow weight growth buys
 plural representation, and the keyed policy picks among a value's words
 with a per-chunk generator, so the same input encodes differently under
 different keys while decoding stays choice-independent.
+
+Whole-stream calls look chunks and words up in tables when the call is
+long enough to pay for them, by the rule the core+flag rounds use
+(`multichannel._table_pays`): keys at most 12 bits wide and at least four
+lookups per table entry. Encode maps each N-bit chunk string to its
+canonical word, or to its sorted representations for the keyed policy;
+decode maps each M-bit word of value below 2^N to its chunk string. The
+per-chunk functions stay the reference path: short calls use them, and
+any table miss reruns the whole call through them, so every output bit
+and every error is the same on both paths.
 """
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +35,8 @@ from .gpn import (
     representation_count,
     representations,
 )
-from .prng import SplitMix64, splitmix64
+from .multichannel import _table_pays
+from .prng import SplitMix64, indexed_draws, splitmix64
 
 __all__ = [
     "FIBONACCI",
@@ -41,6 +53,10 @@ __all__ = [
 FIBONACCI = WeightSystem.fibonacci()
 
 _POLICIES = ("canonical", "keyed")
+
+# Chunks or words split per block on the table paths; bounds the key
+# strings alive at once.
+_BLOCK_KEYS = 1 << 10
 
 
 def min_width(n: int, ws: WeightSystem = FIBONACCI) -> int:
@@ -102,6 +118,61 @@ def _representation_table(ws: WeightSystem, m: int, n: int) -> tuple[tuple[str, 
                  for v in range(1 << n))
 
 
+@lru_cache(maxsize=64)
+def _canonical_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
+    """Chunk string -> canonical word, for every encodable n-bit chunk."""
+    table = {}
+    for v in range(1 << n):
+        try:
+            table[format(v, f"0{n}b")] = canonical_encode(v, m, ws)
+        except ValueError:
+            pass  # forbidden (or past the enumeration limit): a table miss
+    return table
+
+
+@lru_cache(maxsize=64)
+def _keyed_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]:
+    """Chunk string -> sorted representations, forbidden values left out."""
+    return {format(v, f"0{n}b"): reps
+            for v, reps in enumerate(_representation_table(ws, m, n)) if reps}
+
+
+@lru_cache(maxsize=64)
+def _word_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
+    """Word -> chunk string for every m-bit word of value below 2^n."""
+    return {word: format(v, f"0{n}b")
+            for v, reps in enumerate(_representation_table(ws, m, n))
+            for word in reps}
+
+
+def _pieces(text: str, width: int):
+    """Consecutive width-char pieces of `text`, whose length is a multiple
+    of width, in lists of at most _BLOCK_KEYS."""
+    split = re.compile(f"(?s).{{{width}}}").findall
+    step = _BLOCK_KEYS * width
+    for lo in range(0, len(text), step):
+        yield split(text, lo, lo + step)
+
+
+def _encode_table(padded: str, cfg: FmaConfig) -> str:
+    """Table encode of a padded bit string; KeyError on any chunk the
+    per-chunk path would reject or read differently."""
+    n, m, ws = cfg.chunk_width, cfg.target_width, cfg.weight_system
+    if cfg.policy == "canonical":
+        table = _canonical_table(ws, m, n)
+        return "".join(["".join(map(table.__getitem__, keys))
+                        for keys in _pieces(padded, n)])
+    table = _keyed_table(ws, m, n)
+    parts = []
+    first = 0
+    for keys in _pieces(padded, n):
+        draws = indexed_draws(cfg.seed, first, len(keys))
+        parts.append("".join([reps[d % len(reps)] for reps, d
+                              in zip(map(table.__getitem__, keys), draws)]))
+        first += len(keys)
+    return "".join(parts)
+
+
 def _chunk_selector(seed: int, chunk_index: int) -> int:
     # per-chunk stream seeded with seed XOR splitmix64(chunk_index)
     return SplitMix64(seed ^ splitmix64(chunk_index)).next_u64()
@@ -138,10 +209,18 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     """Encode a bit string chunk by chunk, zero-padding the tail chunk."""
     n = cfg.chunk_width
     padded = bits + "0" * (-len(bits) % n)
-    words = [fma_encode_chunk(int(padded[i:i + n], 2), cfg, chunk_index=i // n)
-             for i in range(0, len(padded), n)]
-    return FmaStream(chunks_encoded=len(words),
-                     payload="".join(words),
+    chunks = len(padded) // n
+    payload = None
+    if _table_pays(n, chunks):
+        try:
+            payload = _encode_table(padded, cfg)
+        except KeyError:
+            pass  # the per-chunk path below raises the matching error
+    if payload is None:
+        payload = "".join([
+            fma_encode_chunk(int(padded[i:i + n], 2), cfg, chunk_index=i // n)
+            for i in range(0, len(padded), n)])
+    return FmaStream(chunks_encoded=chunks, payload=payload,
                      original_bit_length=len(bits))
 
 
@@ -152,9 +231,17 @@ def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:
     if len(payload) % m:
         raise BitAlignmentError(
             f"payload length {len(payload)} is not a multiple of {m}")
-    chunks = [format(fma_decode_chunk(payload[i:i + m], cfg), f"0{n}b")
-              for i in range(0, len(payload), m)]
-    bits = "".join(chunks)
+    bits = None
+    if _table_pays(m, len(payload) // m):
+        table = _word_table(cfg.weight_system, m, n)
+        try:
+            bits = "".join(["".join(map(table.__getitem__, words))
+                            for words in _pieces(payload, m)])
+        except KeyError:
+            pass  # the per-chunk path below raises the matching error
+    if bits is None:
+        bits = "".join([format(fma_decode_chunk(payload[i:i + m], cfg), f"0{n}b")
+                        for i in range(0, len(payload), m)])
     original = stream.original_bit_length
     if not original <= len(bits) < original + n:
         raise CorruptStreamError(

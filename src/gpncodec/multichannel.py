@@ -283,12 +283,19 @@ class MultiRoundOutput:
     input_bit_lengths: list[int]
 
 
+def _table_pays(key_bits: int, keys: int) -> bool:
+    """Whether `keys` lookups justify a table of 2^key_bits entries: keys
+    at most _KEY_BITS wide and at least _TABLE_SHARE lookups per entry.
+    The fma chunk and word tables follow the same rule."""
+    return key_bits <= _KEY_BITS and _TABLE_SHARE << key_bits <= keys
+
+
 def _group_size(n: int, symbols: int) -> int:
     """Symbols per table key for a round of `symbols` N-bit symbols: the
-    largest g with g*N <= _KEY_BITS and a table of at most 1/_TABLE_SHARE
-    as many entries as symbols; 0 when even g = 1 is too large."""
+    largest g whose g*N-bit table pays (`_table_pays`); 0 when even g = 1
+    does not."""
     g = _KEY_BITS // n
-    while g and _TABLE_SHARE << (g * n) > symbols:
+    while g and not _table_pays(g * n, symbols):
         g -= 1
     return g
 

@@ -36,6 +36,23 @@ def splitmix64(x: int) -> int:
     return SplitMix64(x).next_u64()
 
 
+def indexed_draws(seed: int, first: int, count: int) -> list[int]:
+    """``SplitMix64(seed ^ splitmix64(i)).next_u64()`` for i in
+    [first, first + count), with both mixes inlined: one draw per index
+    without building a generator object."""
+    out = []
+    append = out.append
+    for i in range(first, first + count):
+        z = (i + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        z = ((seed ^ z ^ (z >> 31)) + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        append(z ^ (z >> 31))
+    return out
+
+
 def keyed_shuffle(items, seed: int) -> list:
     """Return a seed-determined permutation of ``items``."""
     out = list(items)

@@ -1,8 +1,11 @@
-"""Keeps the benchmark runnable: one short small-messages run.
+"""Keeps the benchmark runnable: one short small-messages run and one
+short fma-expand run.
 
 The benchmark checks every output against expectations written from the
 README, independently of the package, so this also covers the grouped
-round tables (its 4 KiB mv2 N=2 messages take them).
+round tables (its 4 KiB mv2 N=2 messages take them) and the fma chunk and
+word tables (every fma-expand item takes them; its payloads are checked
+against the benchmark's own Fibonacci weights).
 """
 
 import json
@@ -13,13 +16,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_small_messages_run_is_correct():
+def short_run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "small-messages",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.2", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_small_messages_run_is_correct():
+    result = short_run("small-messages")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_fma_expand_run_is_correct():
+    result = short_run("fma-expand")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

@@ -191,18 +191,6 @@ class TestEncodeDecode:
                          "--out", str(tmp_path / "z.bin"))
         assert code == 1
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        rng = random.Random(8)
-        source = tmp_path / "src.bin"
-        source.write_bytes(bytes(rng.getrandbits(8) for _ in range(4000)))
-        serial = tmp_path / "serial.gpnc"
-        threaded = tmp_path / "threaded.gpnc"
-        run(capsys, "encode", "--algo", "fma", "--n", "3", "--policy", "keyed",
-            "--seed", "5", "--threads", "1", "--in", str(source), "--out", str(serial))
-        run(capsys, "encode", "--algo", "fma", "--n", "3", "--policy", "keyed",
-            "--seed", "5", "--threads", "4", "--in", str(source), "--out", str(threaded))
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_corrupt_container_is_a_data_error(self, tmp_path, capsys):
         packed = tmp_path / "bad.gpnc"
         packed.write_bytes(b"NOPE" + b"\x00" * 20)

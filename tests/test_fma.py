@@ -189,6 +189,18 @@ class TestStreams:
             assert other.payload != base.payload
             assert fma_decode(other, FmaConfig(3, 4, policy="keyed", seed=seed)) == bits
 
+    def test_keyed_chunks_in_any_order_join_into_payload(self):
+        # each chunk's choice depends on the seed and its index only
+        rng = random.Random(8)
+        bits = format(rng.getrandbits(32000), "032000b")
+        cfg = FmaConfig(chunk_width=3, policy="keyed", seed=5)
+        order = list(range(len(bits) // 3 + 1))
+        rng.shuffle(order)
+        padded = bits + "0"
+        words = {i: fma_encode_chunk(int(padded[3 * i:3 * i + 3], 2), cfg, i)
+                 for i in order}
+        assert "".join(words[i] for i in sorted(words)) == fma_encode(bits, cfg).payload
+
     @settings(max_examples=100, deadline=None)
     @given(bitstrings, st.sampled_from([2, 3, 4, 8]),
            st.sampled_from(["canonical", "keyed"]), st.integers(0, 2 ** 64 - 1))

@@ -1,6 +1,6 @@
 from collections import Counter
 
-from gpncodec.prng import SplitMix64, keyed_shuffle, splitmix64
+from gpncodec.prng import SplitMix64, indexed_draws, keyed_shuffle, splitmix64
 
 
 def test_reference_vectors_seed_zero():
@@ -13,6 +13,12 @@ def test_reference_vectors_seed_zero():
 def test_stateless_mix_matches_first_output():
     for seed in (0, 1, 42, 2 ** 64 - 1):
         assert splitmix64(seed) == SplitMix64(seed).next_u64()
+
+
+def test_indexed_draws_match_per_index_streams():
+    for seed in (0, 5, 2 ** 64 - 1, 2 ** 64 + 3, 2 ** 90 + 1):
+        assert indexed_draws(seed, 1000, 50) == [
+            SplitMix64(seed ^ splitmix64(i)).next_u64() for i in range(1000, 1050)]
 
 
 def test_outputs_stay_in_64_bits():
