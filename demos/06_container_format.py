@@ -48,9 +48,9 @@ print(f"  flags {flags}")
 print(f"  core  {core}")
 print(f"Decoded: {decode_from_container(data)}")
 
-# the same sections can also be read with the low-level bit reader
-reader = bitio.BitReader(bitio.pack_bits(core), len(core))
-print(f"BitReader over the packed core: {reader.read_bits(len(core))}")
+# a section is its bit length plus the bits packed MSB-first
+packed = bitio.pack_bits(core)
+print(f"unpack_bits over the packed core: {bitio.unpack_bits(packed, len(core))}")
 
 # inverse_transform accepts the parsed channels directly
 from gpncodec import MultiRoundOutput

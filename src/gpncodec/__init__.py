@@ -9,7 +9,7 @@ The package splits into:
 * :mod:`gpncodec.multichannel` -- MV2/clone/binomial codebooks and the
   core+flag round machinery.
 * :mod:`gpncodec.fma` -- the expanding Fibonacci-weight transform.
-* :mod:`gpncodec.bitio` -- MSB-first bit IO and the container format.
+* :mod:`gpncodec.bitio` -- MSB-first bit packing and the container format.
 * :mod:`gpncodec.cli` -- the ``gpncodec`` command.
 """
 
@@ -40,6 +40,7 @@ from .multichannel import (
     RoundOutput,
     build_binomial_codebook,
     build_clone_codebook,
+    build_codebook,
     build_mv2_codebook,
     channel_stats,
     decode_round,
@@ -60,8 +61,6 @@ from .fma import (
     min_width,
 )
 from .bitio import (
-    BitReader,
-    BitWriter,
     ContainerMeta,
     pack_bits,
     read_container,
@@ -82,11 +81,12 @@ __all__ = [
     "combo_rank", "combo_unrank",
     "Codebook", "RoundOutput", "MultiRoundOutput", "ChannelStats",
     "build_mv2_codebook", "build_clone_codebook", "build_binomial_codebook",
+    "build_codebook",
     "flag_encode", "flag_decode", "encode_round", "decode_round",
     "transform", "inverse_transform", "channel_stats",
     "FIBONACCI", "FmaConfig", "FmaStream", "min_width",
     "fma_encode_chunk", "fma_decode_chunk", "fma_encode", "fma_decode",
-    "BitWriter", "BitReader", "ContainerMeta",
+    "ContainerMeta",
     "pack_bits", "unpack_bits", "write_container", "read_container",
     "encode_to_container", "decode_from_container",
     "errors",

@@ -58,67 +58,6 @@ _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
-class BitWriter:
-    """Accumulates bits MSB-first into a byte buffer."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._cur = 0
-        self._nbits = 0
-
-    def write_bit(self, bit: int) -> None:
-        self._cur = (self._cur << 1) | (bit & 1)
-        self._nbits += 1
-        if self._nbits == 8:
-            self._buf.append(self._cur)
-            self._cur = 0
-            self._nbits = 0
-
-    def write_bits(self, bits: str) -> None:
-        for ch in bits:
-            if ch == "1":
-                self.write_bit(1)
-            elif ch == "0":
-                self.write_bit(0)
-            else:
-                raise ValueError(f"bit string may contain only '0'/'1', got {ch!r}")
-
-    def getvalue(self) -> bytes:
-        """The buffer so far, final partial byte zero-padded."""
-        out = bytes(self._buf)
-        if self._nbits:
-            out += bytes([self._cur << (8 - self._nbits)])
-        return out
-
-
-class BitReader:
-    """Reads bits MSB-first from a byte buffer."""
-
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        if bit_length is None:
-            bit_length = 8 * len(data)
-        if bit_length > 8 * len(data):
-            raise LengthOverflowError(
-                f"declared {bit_length} bits, buffer holds {8 * len(data)}")
-        self._data = data
-        self._pos = 0
-        self._bit_length = bit_length
-
-    def remaining(self) -> int:
-        return self._bit_length - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= self._bit_length:
-            raise TruncatedSectionError("bit stream exhausted")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, count: int) -> str:
-        return "".join("1" if self.read_bit() else "0" for _ in range(count))
-
-
 def pack_bits(bits: str) -> bytes:
     """Pack a bit string MSB-first, zero-padding the final byte."""
     if not bits:
@@ -274,7 +213,11 @@ class _Cursor:
 
 
 def read_container(data: bytes) -> tuple[ContainerMeta, list[str], str]:
-    """Parse a container back into (meta, flag streams, core/payload)."""
+    """Parse a container back into (meta, flag streams, core/payload).
+
+    The header is checked by the rules write_container applies, before
+    any section is read.
+    """
     cur = _Cursor(data)
     if cur.take(4, "magic") != MAGIC:
         raise BadMagicError("not a GPNC container")
@@ -286,51 +229,35 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[str], str]:
     if algorithm is None:
         raise ContainerFormatError(f"unknown algorithm id {algo_id}")
     n = cur.u8("symbol width")
-    if not 1 <= n <= 16 or (algorithm == "mv2" and n < 2):
-        raise ContainerFormatError(f"symbol width {n} out of range for {algorithm}")
     seed = cur.u64("seed")
-    multiplicities: tuple[int, ...] = ()
-    rounds = 0
-    round_lengths: tuple[int, ...] = ()
-    m = 0
-    policy = "canonical"
-    original = 0
     if algorithm == "fma":
         m = cur.u8("target width")
-        if m < 1:
-            raise ContainerFormatError("target width must be >= 1")
         policy_id = cur.u8("policy")
         policy = _POLICY_NAMES.get(policy_id)
         if policy is None:
             raise ContainerFormatError(f"unknown policy id {policy_id}")
         original = cur.u64("original bit length")
+        meta = ContainerMeta(algorithm=algorithm, n=n, seed=seed, m=m,
+                             policy=policy, original_bit_length=original)
     else:
+        multiplicities: tuple[int, ...] = ()
         if algorithm == "clone":
             count = cur.u8("multiplicity count")
-            if count != n:
-                raise ContainerFormatError(
-                    f"multiplicity count {count} does not match width {n}")
             multiplicities = tuple(cur.u32(f"multiplicity {k}")
                                    for k in range(count))
         rounds = cur.u8("round count")
-        if rounds < 1:
-            raise ContainerFormatError("round count must be >= 1")
         round_lengths = tuple(cur.u64(f"round {i + 1} length")
                               for i in range(rounds))
-    flag_streams = [cur.section(f"flag section {i + 1}") for i in range(rounds)]
+        meta = ContainerMeta(algorithm=algorithm, n=n, seed=seed, rounds=rounds,
+                             round_input_lengths=round_lengths,
+                             multiplicities=multiplicities)
+    try:
+        _validate_meta(meta, meta.rounds)
+    except ValueError as exc:
+        raise ContainerFormatError(f"container header rejected: {exc}") from exc
+    flag_streams = [cur.section(f"flag section {i + 1}") for i in range(meta.rounds)]
     payload = cur.section("core section" if algorithm != "fma" else "payload section")
     if cur.pos != len(data):
         raise ContainerFormatError(
             f"{len(data) - cur.pos} trailing bytes after final section")
-    meta = ContainerMeta(
-        algorithm=algorithm,
-        n=n,
-        seed=seed,
-        rounds=rounds,
-        round_input_lengths=round_lengths,
-        multiplicities=multiplicities,
-        m=m,
-        policy=policy,
-        original_bit_length=original,
-    )
     return meta, flag_streams, payload

@@ -12,7 +12,8 @@ import sys
 from . import bitio, codec, compositions, gpn, multichannel
 from .errors import GpnError
 
-_ALGOS = ("mv2", "clone", "binomial", "fma")
+_ALGOS = tuple(bitio.ALGORITHM_IDS)
+_CODEBOOK_ALGOS = tuple(a for a in _ALGOS if a != "fma")
 
 
 def _parse_seed(text: str) -> int:
@@ -48,18 +49,6 @@ def _write_bytes(path: str, data: bytes) -> None:
         return
     with open(path, "wb") as handle:
         handle.write(data)
-
-
-def _build_codebook(algorithm, n, seed, multiplicities):
-    if algorithm == "mv2":
-        return multichannel.build_mv2_codebook(n, seed)
-    if algorithm == "clone":
-        if multiplicities is None:
-            raise ValueError("clone codebooks need --mults M1,M2,...,MN")
-        return multichannel.build_clone_codebook(n, multiplicities, seed)
-    if algorithm == "binomial":
-        return multichannel.build_binomial_codebook(n)
-    raise ValueError(f"no codebook for algorithm {algorithm!r}")
 
 
 def _weight_system(name: str, deform) -> gpn.WeightSystem:
@@ -111,7 +100,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_codebook(args) -> int:
-    cb = _build_codebook(args.algo, args.n, args.seed, args.mults)
+    cb = multichannel.build_codebook(args.algo, args.n, args.seed, args.mults)
     symbols = sorted(cb.encode_map)
     if args.format == "tsv":
         for sym in symbols:
@@ -181,6 +170,16 @@ def _grouped(bits: str, n: int) -> str:
     return " ".join(bits[i:i + n] for i in range(0, len(bits), n))
 
 
+def _cut(bits: str, widths) -> str:
+    """`bits` cut into consecutive pieces of the given widths, space-joined."""
+    pieces = []
+    pos = 0
+    for w in widths:
+        pieces.append(bits[pos:pos + w])
+        pos += w
+    return " ".join(pieces)
+
+
 def cmd_trace_mv2(args) -> int:
     if (args.hex is None) == (args.bits is None):
         raise ValueError("give exactly one of --hex or --bits")
@@ -198,15 +197,14 @@ def cmd_trace_mv2(args) -> int:
     print(f"round 0  input: {_grouped(bits, n)}")
     current = bits
     for rnd in range(1, args.rounds + 1):
-        padded = current + "0" * (-len(current) % n)
-        out = multichannel.encode_round(padded, cb)
-        symbols = [padded[i:i + n] for i in range(0, len(padded), n)]
-        core_groups = " ".join(cb.encode_map[s][0] for s in symbols)
-        flag_groups = " ".join(
-            multichannel.flag_codeword(cb.encode_map[s][1], n) for s in symbols)
-        print(f"round {rnd}  core : {core_groups}")
-        print(f"         flag : {flag_groups}")
-        current = out.core
+        out = multichannel.transform(current, cb, 1)
+        flags, current = out.flags[0], out.core
+        # per symbol, class k has a core codeword of class_width[k] bits
+        # and a flag codeword of 1 + n - k bits
+        classes = multichannel.flag_decode(flags, n)
+        print(f"round {rnd}  core : "
+              f"{_cut(current, (cb.class_width[k] for k in classes))}")
+        print(f"         flag : {_cut(flags, (1 + n - k for k in classes))}")
         if not current:
             break
     return 0
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(handler=cmd_decode)
 
     book = sub.add_parser("codebook", help="dump a symbol-to-code table")
-    book.add_argument("--algo", choices=("mv2", "clone", "binomial"), default="mv2")
+    book.add_argument("--algo", choices=_CODEBOOK_ALGOS, default="mv2")
     book.add_argument("--n", type=int, default=2)
     book.add_argument("--seed", type=_parse_seed, default=0)
     book.add_argument("--mults", type=_parse_mults, default=None)

@@ -106,7 +106,6 @@ class FmaConfig:
 class FmaStream:
     """Concatenated fixed-width payload plus the true input length."""
 
-    chunks_encoded: int
     payload: str
     original_bit_length: int
 
@@ -209,19 +208,19 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     """Encode a bit string chunk by chunk, zero-padding the tail chunk."""
     n = cfg.chunk_width
     padded = bits + "0" * (-len(bits) % n)
-    chunks = len(padded) // n
     payload = None
-    if _table_pays(n, chunks):
+    if _table_pays(n, len(padded) // n):
         try:
             payload = _encode_table(padded, cfg)
         except KeyError:
             pass  # the per-chunk path below raises the matching error
     if payload is None:
+        if padded.strip("01"):  # int(chunk, 2) would read "_" and blanks
+            raise ValueError("input is not a clean bit string")
         payload = "".join([
             fma_encode_chunk(int(padded[i:i + n], 2), cfg, chunk_index=i // n)
             for i in range(0, len(padded), n)])
-    return FmaStream(chunks_encoded=chunks, payload=payload,
-                     original_bit_length=len(bits))
+    return FmaStream(payload=payload, original_bit_length=len(bits))
 
 
 def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:

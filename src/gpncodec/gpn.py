@@ -33,10 +33,9 @@ class WeightSystem:
     concurrent readers never observe a partially built list.
     """
 
-    _KINDS = ("b_radix", "factorial", "fibonacci", "deformed_fibonacci", "binomial_class")
+    _KINDS = ("b_radix", "factorial", "fibonacci", "deformed_fibonacci")
 
-    def __init__(self, kind: str, *, b: int = 0, deformation: tuple[int, ...] = (),
-                 n: int = 0, k: int = 0):
+    def __init__(self, kind: str, *, b: int = 0, deformation: tuple[int, ...] = ()):
         if kind not in self._KINDS:
             raise ValueError(f"unknown weight system kind {kind!r}")
         if kind == "b_radix" and b < 2:
@@ -46,13 +45,9 @@ class WeightSystem:
                 raise ValueError("deformation list must be nonempty")
             if any(c < 1 for c in deformation):
                 raise ValueError(f"deformation coefficients must be >= 1, got {deformation}")
-        if kind == "binomial_class" and not 0 <= k <= n:
-            raise ValueError(f"binomial class needs 0 <= k <= n, got n={n} k={k}")
         self.kind = kind
         self.b = b
         self.deformation = tuple(deformation)
-        self.n = n
-        self.k = k
         self._weights: list[int] = []
         self._lock = threading.Lock()
 
@@ -77,17 +72,8 @@ class WeightSystem:
         for j <= 0. Coefficients (1, 1) reproduce the Fibonacci weights."""
         return cls("deformed_fibonacci", deformation=tuple(coefficients))
 
-    @classmethod
-    def binomial_class(cls, n: int, k: int) -> "WeightSystem":
-        """The class of n-bit words of weight k, ranked combinadically.
-
-        This system has no fixed positional weights; use combo_rank and
-        combo_unrank for its numerical function.
-        """
-        return cls("binomial_class", n=n, k=k)
-
     def _key(self):
-        return (self.kind, self.b, self.deformation, self.n, self.k)
+        return (self.kind, self.b, self.deformation)
 
     def __eq__(self, other):
         return isinstance(other, WeightSystem) and self._key() == other._key()
@@ -100,8 +86,6 @@ class WeightSystem:
             return f"WeightSystem.b_radix({self.b})"
         if self.kind == "deformed_fibonacci":
             return f"WeightSystem.deformed_fibonacci({list(self.deformation)})"
-        if self.kind == "binomial_class":
-            return f"WeightSystem.binomial_class({self.n}, {self.k})"
         return f"WeightSystem.{self.kind}()"
 
     def _extend(self, cur: list[int], upto: int) -> None:
@@ -127,9 +111,6 @@ class WeightSystem:
         """The weights R_1..R_m as a fresh list."""
         if m < 1:
             raise ValueError(f"m must be positive, got {m}")
-        if self.kind == "binomial_class":
-            raise ValueError("binomial_class has no positional weights; "
-                             "use combo_rank/combo_unrank")
         if len(self._weights) < m:
             with self._lock:
                 cur = list(self._weights)

@@ -102,12 +102,10 @@ class Codebook:
     """
 
     symbol_width: int
-    tag: str
     encode_map: dict[str, tuple[str, int]]
     class_width: dict[int, int]
     multiplicities: dict[int, int]
     seed: int = 0
-    clone_multiplicities: tuple[int, ...] = ()
 
     @cached_property
     def decode_map(self) -> dict[tuple[int, str], str]:
@@ -169,12 +167,6 @@ def _all_words(width: int) -> tuple[str, ...]:
     return tuple(format(i, f"0{width}b") for i in range(1 << width))
 
 
-def _assemble(n, tag, symbols, code_class_pairs, class_width, mults, seed,
-              clone_mults=()):
-    encode_map = dict(zip(symbols, code_class_pairs))
-    return Codebook(n, tag, encode_map, class_width, mults, seed, clone_mults)
-
-
 @lru_cache(maxsize=_N_MAX + 1)
 def _mv2_code_list(n: int) -> tuple[tuple[str, int], ...]:
     """(code, class) pairs: every K-bit word for K < n, then the two
@@ -206,7 +198,7 @@ def build_mv2_codebook(n: int, seed: int = 0) -> Codebook:
     mults = {k: 1 << k for k in range(1, n)}
     mults[n] = 2
     class_width = {k: k for k in range(1, n + 1)}
-    return _assemble(n, "mv2", symbols, pairs, class_width, mults, seed)
+    return Codebook(n, dict(zip(symbols, pairs)), class_width, mults, seed)
 
 
 def build_clone_codebook(n: int, multiplicities, seed: int = 0) -> Codebook:
@@ -236,9 +228,8 @@ def build_clone_codebook(n: int, multiplicities, seed: int = 0) -> Codebook:
     pairs = [(code, k) for k, m in enumerate(mults, start=1)
              for code in _all_words(k)[:m]]
     class_width = {k: k for k in range(1, n + 1)}
-    return _assemble(n, "clone", symbols, pairs, class_width,
-                     {k: m for k, m in enumerate(mults, start=1)}, seed,
-                     tuple(mults))
+    return Codebook(n, dict(zip(symbols, pairs)), class_width,
+                    {k: m for k, m in enumerate(mults, start=1)}, seed)
 
 
 def build_binomial_codebook(n: int) -> Codebook:
@@ -257,7 +248,25 @@ def build_binomial_codebook(n: int) -> Codebook:
         pairs.append((rank_words[k][next_rank[k]], k))
         next_rank[k] += 1
     mults = {k: math.comb(n, k) for k in range(n + 1)}
-    return _assemble(n, "binomial", symbols, pairs, class_width, mults, seed=0)
+    return Codebook(n, dict(zip(symbols, pairs)), class_width, mults)
+
+
+def build_codebook(algorithm: str, n: int, seed: int = 0,
+                   multiplicities=None) -> Codebook:
+    """The codebook of a core+flag algorithm: "mv2", "clone" (which needs
+    `multiplicities`) or "binomial" (which takes no seed)."""
+    # the builders are looked up by name at each call, so a wrapper put in
+    # this module's namespace (bench/tracer.py) sees calls made through here
+    if algorithm == "mv2":
+        return build_mv2_codebook(n, seed)
+    if algorithm == "clone":
+        if multiplicities is None:
+            raise ValueError(
+                "clone codebooks need class multiplicities (--mults M1,...,MN)")
+        return build_clone_codebook(n, multiplicities, seed)
+    if algorithm == "binomial":
+        return build_binomial_codebook(n)
+    raise ValueError(f"no codebook for algorithm {algorithm!r}")
 
 
 @dataclass(frozen=True)

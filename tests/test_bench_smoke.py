@@ -1,5 +1,5 @@
-"""Keeps the benchmark runnable: one short small-messages run and one
-short fma-expand run.
+"""Keeps the benchmark runnable: one short small-messages run, one short
+fma-expand run, and every function the tracer wraps still present.
 
 The benchmark checks every output against expectations written from the
 README, independently of the package, so this also covers the grouped
@@ -8,6 +8,7 @@ word tables (every fma-expand item takes them; its payloads are checked
 against the benchmark's own Fibonacci weights).
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -37,3 +38,15 @@ def test_fma_expand_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_tracer_targets_resolve():
+    # a renamed or deleted target would make its traced layer read 0
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, attr, _, _ in tracer.TARGETS:
+        target = getattr(importlib.import_module(f"gpncodec.{module}"), attr, None)
+        assert callable(target), f"gpncodec.{module}.{attr}"

@@ -1,12 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpncodec.bitio import (
-    BitReader,
-    BitWriter,
     ContainerMeta,
     pack_bits,
     read_container,
@@ -42,49 +41,18 @@ def random_bits(rng, max_len=200):
 
 
 class TestBitOrder:
-    def test_msb_first_golden(self):
-        w = BitWriter()
-        w.write_bits("10110000")
-        assert w.getvalue() == b"\xb0"
-
-    def test_partial_byte_zero_padded(self):
-        w = BitWriter()
-        w.write_bits("101")
-        assert w.getvalue() == b"\xa0"
-
-    def test_reader_matches_writer(self):
-        r = BitReader(b"\xb0")
-        assert r.read_bits(8) == "10110000"
-
-    def test_reader_respects_declared_length(self):
-        r = BitReader(b"\xa0", bit_length=3)
-        assert r.read_bits(3) == "101"
-        with pytest.raises(TruncatedSectionError):
-            r.read_bit()
-
-    def test_reader_rejects_overdeclared_length(self):
-        with pytest.raises(LengthOverflowError):
-            BitReader(b"\xff", bit_length=9)
-
-    def test_writer_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_bits("01x")
-
     def test_pack_golden(self):
         assert pack_bits("10110000") == b"\xb0"
+        assert pack_bits("101") == b"\xa0"  # partial byte zero-padded
         assert pack_bits("") == b""
         assert unpack_bits(b"\xb0") == "10110000"
         assert unpack_bits(b"\xb0", 4) == "1011"
+        with pytest.raises(LengthOverflowError):
+            unpack_bits(b"\xff", 9)
 
     @given(st.text(alphabet="01", max_size=400))
     def test_pack_unpack_roundtrip(self, bits):
         assert unpack_bits(pack_bits(bits), len(bits)) == bits
-
-    @given(st.text(alphabet="01", max_size=200))
-    def test_writer_reader_roundtrip(self, bits):
-        w = BitWriter()
-        w.write_bits(bits)
-        assert BitReader(w.getvalue(), len(bits)).read_bits(len(bits)) == bits
 
 
 class TestContainerGolden:
@@ -237,3 +205,27 @@ class TestReadRejection:
     def test_empty_input(self):
         with pytest.raises(TruncatedSectionError):
             read_container(b"")
+
+    @pytest.mark.parametrize("meta, offset, field, value", [
+        (WALKTHROUGH_META, 6, "n", 17),
+        # three multiplicities follow the count byte at offset 15
+        (ContainerMeta(algorithm="clone", n=3, rounds=1, round_input_lengths=(3,),
+                       multiplicities=(2, 2, 4)), 6, "n", 2),
+        (ContainerMeta(algorithm="fma", n=4, m=6), 15, "m", 0),
+    ], ids=["width-17", "clone-count-not-n", "fma-width-0"])
+    def test_header_rules_shared_with_writer(self, meta, offset, field, value):
+        flags = ["1"] * meta.rounds
+        data = bytearray(write_container(meta, flags, "0"))
+        data[offset] = value
+        with pytest.raises(ContainerFormatError):
+            read_container(bytes(data))
+        with pytest.raises(ValueError):
+            write_container(replace(meta, **{field: value}), flags, "0")
+
+    def test_unknown_policy_id(self):
+        data = bytearray(write_container(
+            ContainerMeta(algorithm="fma", n=4, m=6, policy="keyed"), [], "0"))
+        assert data[16] == 1
+        data[16] = 2
+        with pytest.raises(ContainerFormatError):
+            read_container(bytes(data))

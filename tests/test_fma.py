@@ -140,8 +140,7 @@ class TestStreams:
     def test_expansion_ratio(self):
         cfg = FmaConfig(chunk_width=3, target_width=4)
         stream = fma_encode("0" * 12, cfg)
-        assert stream.chunks_encoded == 4
-        assert len(stream.payload) == 16
+        assert len(stream.payload) == 4 * 4  # four 4-bit words
 
     def test_empty_input(self):
         cfg = FmaConfig(chunk_width=3)
@@ -157,22 +156,32 @@ class TestStreams:
         assert stream.original_bit_length == 999
         assert fma_decode(stream, cfg) == bits
 
+    @pytest.mark.parametrize("policy", ["canonical", "keyed"])
+    @pytest.mark.parametrize("bits", ["1_01", " 101", "0101\n", "0110" * 100 + "1_01"],
+                             ids=["underscore", "blank", "newline", "table-sized"])
+    def test_encode_rejects_non_bit_characters(self, bits, policy):
+        # int(chunk, 2) reads "1_01" and " 101" as 0101, which would
+        # decode to bits other than the input; the last case is long
+        # enough for the chunk table, which misses and falls back
+        with pytest.raises(ValueError, match="not a clean bit string"):
+            fma_encode(bits, FmaConfig(chunk_width=4, policy=policy, seed=3))
+
     def test_decode_rejects_misaligned_payload(self):
         cfg = FmaConfig(chunk_width=3, target_width=4)
         with pytest.raises(BitAlignmentError):
-            fma_decode(FmaStream(1, "10101", 3), cfg)
+            fma_decode(FmaStream("10101", 3), cfg)
 
     def test_decode_rejects_inconsistent_length(self):
         cfg = FmaConfig(chunk_width=3, target_width=4)
         stream = fma_encode("10110101", cfg)
-        too_short = FmaStream(stream.chunks_encoded, stream.payload, 2)
+        too_short = FmaStream(stream.payload, 2)
         with pytest.raises(CorruptStreamError):
             fma_decode(too_short, cfg)
 
     def test_decode_rejects_nonzero_padding(self):
         cfg = FmaConfig(chunk_width=3, target_width=4)
         stream = fma_encode("1", cfg)  # pads 1 -> 100
-        tampered = FmaStream(1, fma_encode("101", cfg).payload,
+        tampered = FmaStream(fma_encode("101", cfg).payload,
                              stream.original_bit_length)
         with pytest.raises(CorruptStreamError):
             fma_decode(tampered, cfg)

@@ -123,7 +123,7 @@ def test_decode_of_arbitrary_words_matches(ws, n, extra, seed, length_shift):
     rng = random.Random(seed)
     words = 4 << m
     payload = format(rng.getrandbits(words * m), f"0{words * m}b")
-    stream = FmaStream(words, payload, max(0, words * n + length_shift))
+    stream = FmaStream(payload, max(0, words * n + length_shift))
     got, ref, tabled = decode_both(stream, cfg)
     assert got == ref
     assert tabled
@@ -148,15 +148,14 @@ class TestErrorParity:
         mid = len(stream.payload) // 2 // 5 * 5
         payload = stream.payload[:mid] + bad + stream.payload[mid + 5:]
         got, ref, tabled = decode_both(
-            FmaStream(stream.chunks_encoded, payload, stream.original_bit_length), cfg)
+            FmaStream(payload, stream.original_bit_length), cfg)
         assert got == ref
         assert got[0] is InvalidChunkError and tabled
 
     def test_misaligned_payload(self):
         cfg = FmaConfig(chunk_width=3, target_width=5)
         stream, _ = table_sized_stream(cfg)
-        short = FmaStream(stream.chunks_encoded, stream.payload[:-1],
-                          stream.original_bit_length)
+        short = FmaStream(stream.payload[:-1], stream.original_bit_length)
         got, ref, _ = decode_both(short, cfg)
         assert got == ref
         assert got[0] is BitAlignmentError
@@ -165,8 +164,7 @@ class TestErrorParity:
         cfg = FmaConfig(chunk_width=3, target_width=5)
         stream, bits = table_sized_stream(cfg)
         padded = bits[:-2] + "11"
-        tampered = FmaStream(stream.chunks_encoded, fma_encode(padded, cfg).payload,
-                             len(bits) - 2)
+        tampered = FmaStream(fma_encode(padded, cfg).payload, len(bits) - 2)
         got, ref, tabled = decode_both(tampered, cfg)
         assert got == ref
         assert got[0] is CorruptStreamError and tabled
@@ -189,7 +187,7 @@ class TestErrorParity:
         got, ref, tabled = encode_both(bits, cfg)
         assert got == ref and tabled
         payload = fma_encode("0110" * 300, cfg).payload
-        tampered = FmaStream(300, payload[:60] + junk + payload[61:], 1200)
+        tampered = FmaStream(payload[:60] + junk + payload[61:], 1200)
         got, ref, tabled = decode_both(tampered, cfg)
         assert got == ref and tabled
 

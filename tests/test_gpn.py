@@ -107,15 +107,11 @@ class TestWeights:
             t.join()
         assert not failures
 
-    def test_binomial_class_has_no_weights(self):
-        with pytest.raises(ValueError):
-            weights(WeightSystem.binomial_class(4, 2), 4)
-
     @pytest.mark.parametrize("build", [
         lambda: WeightSystem.b_radix(1),
         lambda: WeightSystem.deformed_fibonacci([]),
         lambda: WeightSystem.deformed_fibonacci([1, 0]),
-        lambda: WeightSystem.binomial_class(2, 3),
+        lambda: WeightSystem("binomial"),
     ])
     def test_invalid_construction(self, build):
         with pytest.raises(ValueError):
