@@ -41,14 +41,36 @@ def random_bits(rng, max_len=200):
 
 
 class TestBitOrder:
+    def test_msb_first_golden(self):
+        assert pack_bits("10110000") == b"\xb0"
+
+    def test_partial_byte_zero_padded(self):
+        assert pack_bits("101") == b"\xa0"
+
+    def test_reader_matches_writer(self):
+        assert unpack_bits(b"\xb0") == "10110000"
+
+    def test_reader_respects_declared_length(self):
+        assert unpack_bits(b"\xa0", 3) == "101"
+        assert unpack_bits(b"\xa0", 0) == ""
+
+    def test_reader_rejects_overdeclared_length(self):
+        with pytest.raises(LengthOverflowError):
+            unpack_bits(b"\xff", 9)
+
+    def test_writer_reader_roundtrip(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            bits = random_bits(rng)
+            data = pack_bits(bits)
+            assert len(data) == (len(bits) + 7) // 8
+            assert unpack_bits(data, len(bits)) == bits
+
     def test_pack_golden(self):
         assert pack_bits("10110000") == b"\xb0"
-        assert pack_bits("101") == b"\xa0"  # partial byte zero-padded
         assert pack_bits("") == b""
         assert unpack_bits(b"\xb0") == "10110000"
         assert unpack_bits(b"\xb0", 4) == "1011"
-        with pytest.raises(LengthOverflowError):
-            unpack_bits(b"\xff", 9)
 
     @given(st.text(alphabet="01", max_size=400))
     def test_pack_unpack_roundtrip(self, bits):
