@@ -7,15 +7,24 @@ plural representation, and the keyed policy picks among a value's words
 with a per-chunk generator, so the same input encodes differently under
 different keys while decoding stays choice-independent.
 
+A keyed chunk takes word `selector % count` of its value's words in
+ascending order. One chunk at a time, that word is unranked from a table
+of word counts per position and value (`gpn._ranking`), built once per
+weight system, width and N: at most 2^N counts for each position whose
+weight is below 2^N, however many words there are, so keyed chunks work
+at every width 1-255.
+
 Whole-stream calls look chunks and words up in tables when the call is
 long enough to pay for them, by the rule the core+flag rounds use
 (`multichannel._table_pays`): keys at most 12 bits wide and at least four
 lookups per table entry. Encode maps each N-bit chunk string to its
 canonical word, or to its sorted representations for the keyed policy;
 decode maps each M-bit word of value below 2^N to its chunk string. The
-per-chunk functions stay the reference path: short calls use them, and
-any table miss reruns the whole call through them, so every output bit
-and every error is the same on both paths.
+keyed chunk table and the word table come from one ordered pass over the
+words of value below 2^N (`gpn._words_by_value`). The per-chunk functions stay the reference
+path: short calls use them, and any table miss reruns the whole call
+through them, so every output bit and every error is the same on both
+paths.
 """
 
 import re
@@ -30,13 +39,14 @@ from .errors import (
 )
 from .gpn import (
     WeightSystem,
+    _ranking,
+    _words_by_value,
     canonical_encode,
     evaluate,
     representation_count,
-    representations,
 )
 from .multichannel import _table_pays
-from .prng import SplitMix64, indexed_draws, splitmix64
+from .prng import indexed_draws
 
 __all__ = [
     "FIBONACCI",
@@ -110,11 +120,9 @@ class FmaStream:
     original_bit_length: int
 
 
-@lru_cache(maxsize=64)
-def _representation_table(ws: WeightSystem, m: int, n: int) -> tuple[tuple[str, ...], ...]:
-    """Sorted representation lists for every n-bit chunk value."""
-    return tuple(tuple(sorted(representations(v, m, ws)))
-                 for v in range(1 << n))
+def _chunk_words(ws: WeightSystem, m: int, n: int) -> list[list[str]]:
+    """The sorted m-bit words of each value below 2^n, in one ordered pass."""
+    return _words_by_value(ws.weights(m), (1 << n) - 1)
 
 
 @lru_cache(maxsize=64)
@@ -125,22 +133,22 @@ def _canonical_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
         try:
             table[format(v, f"0{n}b")] = canonical_encode(v, m, ws)
         except ValueError:
-            pass  # forbidden (or past the enumeration limit): a table miss
+            pass  # forbidden: a table miss
     return table
 
 
 @lru_cache(maxsize=64)
 def _keyed_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]:
     """Chunk string -> sorted representations, forbidden values left out."""
-    return {format(v, f"0{n}b"): reps
-            for v, reps in enumerate(_representation_table(ws, m, n)) if reps}
+    return {format(v, f"0{n}b"): tuple(reps)
+            for v, reps in enumerate(_chunk_words(ws, m, n)) if reps}
 
 
 @lru_cache(maxsize=64)
 def _word_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
     """Word -> chunk string for every m-bit word of value below 2^n."""
     return {word: format(v, f"0{n}b")
-            for v, reps in enumerate(_representation_table(ws, m, n))
+            for v, reps in enumerate(_chunk_words(ws, m, n))
             for word in reps}
 
 
@@ -172,9 +180,19 @@ def _encode_table(padded: str, cfg: FmaConfig) -> str:
     return "".join(parts)
 
 
-def _chunk_selector(seed: int, chunk_index: int) -> int:
-    # per-chunk stream seeded with seed XOR splitmix64(chunk_index)
-    return SplitMix64(seed ^ splitmix64(chunk_index)).next_u64()
+def _keyed_words(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
+    """Keyed words of consecutive chunk values, the first at chunk index
+    `first`: each value's words unranked at its selector modulo their count."""
+    m = cfg.target_width
+    ranking = _ranking(cfg.weight_system, m, (1 << cfg.chunk_width) - 1)
+    words = []
+    for value, draw in zip(values, indexed_draws(cfg.seed, first, len(values))):
+        count = ranking.count(value)
+        if not count:
+            raise NotRepresentableError(
+                f"value {value} is a forbidden combination at width {m}")
+        words.append(ranking.unrank(value, draw % count))
+    return words
 
 
 def fma_encode_chunk(value: int, cfg: FmaConfig, chunk_index: int = 0) -> str:
@@ -184,12 +202,7 @@ def fma_encode_chunk(value: int, cfg: FmaConfig, chunk_index: int = 0) -> str:
             f"value {value} outside [0, 2^{cfg.chunk_width})")
     if cfg.policy == "canonical":
         return canonical_encode(value, cfg.target_width, cfg.weight_system)
-    reps = _representation_table(cfg.weight_system, cfg.target_width,
-                                 cfg.chunk_width)[value]
-    if not reps:
-        raise NotRepresentableError(
-            f"value {value} is a forbidden combination at width {cfg.target_width}")
-    return reps[_chunk_selector(cfg.seed, chunk_index) % len(reps)]
+    return _keyed_words([value], cfg, chunk_index)[0]
 
 
 def fma_decode_chunk(word: str, cfg: FmaConfig) -> int:
@@ -217,9 +230,15 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     if payload is None:
         if padded.strip("01"):  # int(chunk, 2) would read "_" and blanks
             raise ValueError("input is not a clean bit string")
-        payload = "".join([
-            fma_encode_chunk(int(padded[i:i + n], 2), cfg, chunk_index=i // n)
-            for i in range(0, len(padded), n)])
+        if cfg.policy == "canonical":
+            payload = "".join([fma_encode_chunk(int(padded[i:i + n], 2), cfg)
+                               for i in range(0, len(padded), n)])
+        else:
+            parts = []
+            for keys in _pieces(padded, n):
+                parts += _keyed_words([int(key, 2) for key in keys], cfg,
+                                      len(parts))
+            payload = "".join(parts)
     return FmaStream(payload=payload, original_bit_length=len(bits))
 
 

@@ -9,8 +9,9 @@ ordinary binary notation.
 Unlike base-b positions, general weights make the numeral map non-bijective
 at a fixed width: some values gain several words (plural representation),
 others none at all (forbidden combinations). ``representations`` enumerates
-the full preimage of a value, which is what the expanding multichannel
-transform keys its diffusion on.
+the full preimage of a value. The expanding multichannel transform keys its
+diffusion on the same preimage in ascending order, but picks its words by
+unranking (``_ranking``) rather than enumerating them.
 
 The binomial (combinadic) system does not have fixed per-position weights;
 its numerical function is ``combo_rank`` / ``combo_unrank`` at the bottom of
@@ -19,6 +20,8 @@ this module.
 
 import math
 import threading
+from functools import lru_cache
+from operator import add
 
 from .errors import NotRepresentableError
 
@@ -213,12 +216,133 @@ def representation_count(value: int, width: int, ws: WeightSystem) -> int:
     return count(width, value)
 
 
+# Lowest positions an unrank finishes with one lookup: 2^12 words at most.
+_TAIL_BITS = 12
+# canonical_encode counts words only for values below 2^_COUNT_VALUE_BITS,
+# every chunk value a container carries: its count table grows with the value.
+_COUNT_VALUE_BITS = 16
+
+
+def _ordered_words(w: list[int], cap: int) -> tuple[list[str], list[int]]:
+    """The len(w)-bit words of value <= cap in ascending order, and their
+    values.
+
+    One pass from the lowest position up: every word so far gains a '0'
+    and, while its value stays within cap, a '1' in front, the '0' words
+    first, so the list stays sorted with no sort. A position heavier than
+    cap only ever holds '0'.
+    """
+    words, values = [""], [0]
+    zeros = ""  # heavy positions not yet written
+    for wt in w:
+        if wt > cap:
+            zeros += "0"
+            continue
+        fit = cap - wt
+        zero, one = "0" + zeros, "1" + zeros
+        words = ([zero + s for s in words]
+                 + [one + s for s, v in zip(words, values) if v <= fit])
+        values = values + [v + wt for v in values if v <= fit]
+        zeros = ""
+    if zeros:
+        words = [zeros + s for s in words]
+    return words, values
+
+
+def _words_by_value(w: list[int], cap: int) -> list[list[str]]:
+    """For each value v <= min(cap, sum(w)), the len(w)-bit words of value
+    v in ascending order.
+
+    The lowest _TAIL_BITS positions are bucketed from one ordered pass;
+    each higher part, in ascending order, is then joined to the tails that
+    keep the value within cap. Every word is built once, and each bucket
+    fills in ascending order.
+    """
+    tail = min(_TAIL_BITS, len(w))
+    words, values = _ordered_words(w[:tail], cap)
+    low = [[] for _ in range(min(cap, sum(w[:tail])) + 1)]
+    for s, v in zip(words, values):
+        low[v].append(s)
+    if tail == len(w):
+        return low
+    buckets = [[] for _ in range(min(cap, sum(w)) + 1)]
+    for high, hv in zip(*_ordered_words(w[tail:], cap)):
+        for lv in range(min(len(low), cap - hv + 1)):
+            buckets[hv + lv] += [high + s for s in low[lv]]
+    return buckets
+
+
+def _count_rows(w: list[int], cap: int) -> list[list[int]]:
+    """rows[k][r]: the number of k-bit words (weights w[:k]) of value r, for
+    r <= min(cap, w[0] + ... + w[k-1]); an entry past the end counts 0.
+
+    Built bottom-up. A position heavier than cap adds no word of value
+    <= cap, so its row is the row below it, shared rather than copied.
+    """
+    rows = [[1]]
+    for wt in w:
+        below = rows[-1]
+        if wt > cap:
+            rows.append(below)
+            continue
+        size = min(cap + 1, len(below) + wt)
+        rows.append(list(map(add, below + [0] * (size - len(below)),
+                             [0] * wt + below[:size - wt])))
+    return rows
+
+
+class _Ranking:
+    """Counts and unranks the width-bit words of each value up to cap.
+
+    Word `index` of a value is the index-th of its words in ascending
+    order, as `sorted(representations(value, width, ws))[index]` (the
+    ranking of Nijenhuis & Wilf, Combinatorial Algorithms, and Knuth,
+    TAOCP 4A 7.2.1.3, over a count table instead of binomials).
+    """
+
+    def __init__(self, ws: WeightSystem, width: int, cap: int):
+        w = ws.weights(width)
+        self._rows = _count_rows(w, cap)
+        tail = min(_TAIL_BITS, width)
+        self._low = _words_by_value(w[:tail], cap)
+        top = width
+        while top > tail and w[top - 1] > cap:
+            top -= 1
+        self._lead = "0" * (width - top)
+        self._steps = [(self._rows[k - 1], len(self._rows[k - 1]), w[k - 1])
+                       for k in range(top, tail, -1)]
+
+    def count(self, value: int) -> int:
+        row = self._rows[-1]
+        return row[value] if value < len(row) else 0
+
+    def unrank(self, value: int, index: int) -> str:
+        """Word `index` of `value`; needs 0 <= index < count(value)."""
+        word = self._lead
+        for below, size, wt in self._steps:
+            zeros = below[value] if value < size else 0
+            if index < zeros:
+                word += "0"
+            else:
+                index -= zeros
+                value -= wt
+                word += "1"
+        return word + self._low[value][index]
+
+
+@lru_cache(maxsize=64)
+def _ranking(ws: WeightSystem, width: int, cap: int) -> _Ranking:
+    return _Ranking(ws, width, cap)
+
+
 def canonical_encode(value: int, width: int, ws: WeightSystem) -> str:
     """Deterministic representative among the representations of `value`.
 
     Greedy highest-weight-first; when the greedy scan strands a remainder
-    the lexicographically largest representation is used instead. Raises
-    NotRepresentableError when no representation exists at this width.
+    the lexicographically largest representation is used instead, for
+    values below 2^16 (it comes from a count table that grows with the
+    value; larger values raise ValueError). Raises NotRepresentableError
+    when no representation exists at this width.
     """
     if value < 0:
         raise ValueError(f"value must be nonnegative, got {value}")
@@ -238,11 +362,16 @@ def canonical_encode(value: int, width: int, ws: WeightSystem) -> str:
             bits.append("0")
     if remaining == 0:
         return "".join(bits)
-    candidates = representations(value, width, ws)
-    if not candidates:
+    if value >> _COUNT_VALUE_BITS:
+        raise ValueError(
+            f"value {value} strands the greedy scan and is above the counting "
+            f"limit 2^{_COUNT_VALUE_BITS}")
+    ranking = _ranking(ws, width, (1 << value.bit_length()) - 1)
+    count = ranking.count(value)
+    if not count:
         raise NotRepresentableError(
             f"value {value} is a forbidden combination at width {width}")
-    return max(candidates)
+    return ranking.unrank(value, count - 1)
 
 
 def combo_rank(word: str) -> int:

@@ -161,6 +161,25 @@ class TestEncodeDecode:
         assert code == 0, err
         assert restored.read_bytes() == payload
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1", "--m", "65"),
+        ("--n", "4", "--m", "255"),
+    ])
+    def test_keyed_fma_above_width_64(self, tmp_path, capsys, argv):
+        source = tmp_path / "src.bin"
+        packed = tmp_path / "packed.gpnc"
+        restored = tmp_path / "restored.bin"
+        payload = bytes(random.Random(65).getrandbits(8) for _ in range(64))
+        source.write_bytes(payload)
+        code, _, err = run(capsys, "encode", "--algo", "fma", *argv,
+                           "--policy", "keyed", "--seed", "5",
+                           "--in", str(source), "--out", str(packed))
+        assert code == 0, err
+        code, _, err = run(capsys, "decode", "--in", str(packed),
+                           "--out", str(restored))
+        assert code == 0, err
+        assert restored.read_bytes() == payload
+
     def test_decode_reads_parameters_from_container_only(self, tmp_path, capsys):
         source = tmp_path / "src.bin"
         source.write_bytes(b"container params rule")

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpncodec import gpn
 from gpncodec.errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -127,6 +129,23 @@ class TestChunks:
                 else:
                     with pytest.raises(InvalidChunkError):
                         fma_decode_chunk(word, cfg)
+
+
+class TestKeyedCost:
+    """A keyed chunk costs a table of counts per position and value, not
+    an enumeration of every word: N=16 stays cheap at any width."""
+
+    @pytest.mark.parametrize("m", [0, 255])  # 0: the minimal width, 23
+    def test_first_n16_chunk_meets_budget(self, m):
+        cfg = FmaConfig(chunk_width=16, target_width=m, policy="keyed", seed=1)
+        assert cfg.target_width == (m or 23)
+        bits = "1011001110001111"
+        gpn._ranking.cache_clear()
+        start = time.perf_counter()
+        stream = fma_encode(bits, cfg)
+        elapsed = time.perf_counter() - start
+        assert fma_decode(stream, cfg) == bits
+        assert elapsed < 2.0
 
 
 class TestRepresentationCount:

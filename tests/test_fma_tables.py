@@ -193,8 +193,8 @@ class TestErrorParity:
 
 
 def test_wide_one_chunk_call_builds_no_table():
-    # a single keyed N=13 chunk: the representation table is needed, but
-    # neither a 2^13-entry chunk table nor a word table
+    # a single keyed N=13 chunk is unranked from a count table: neither a
+    # 2^13-entry chunk table nor a word table is built
     cfg = FmaConfig(chunk_width=13, policy="keyed", seed=1)
     before = [cache.cache_info() for cache in TABLE_CACHES]
     assert fma_decode(fma_encode("1" * 13, cfg), cfg) == "1" * 13
