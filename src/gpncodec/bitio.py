@@ -47,8 +47,8 @@ VERSION = 1
 
 ALGORITHM_IDS = {"mv2": 0, "clone": 1, "binomial": 2, "fma": 3}
 _ALGORITHM_NAMES = {v: k for k, v in ALGORITHM_IDS.items()}
-_POLICY_IDS = {"canonical": 0, "keyed": 1}
-_POLICY_NAMES = {v: k for k, v in _POLICY_IDS.items()}
+POLICY_IDS = {"canonical": 0, "keyed": 1}
+_POLICY_NAMES = {v: k for k, v in POLICY_IDS.items()}
 
 # both travel in one header byte
 MAX_ROUNDS = 255
@@ -119,7 +119,7 @@ def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
         if flag_count:
             raise ValueError("fma containers carry no flag sections")
         check_target_width(meta.m)
-        if meta.policy not in _POLICY_IDS:
+        if meta.policy not in POLICY_IDS:
             raise ValueError(f"unknown policy {meta.policy!r}")
         if meta.original_bit_length < 0:
             raise ValueError("original bit length must be nonnegative")
@@ -159,7 +159,7 @@ def write_container(meta: ContainerMeta, flag_streams, payload: str) -> bytes:
     out += _U64.pack(meta.seed)
     if meta.algorithm == "fma":
         out.append(meta.m)
-        out.append(_POLICY_IDS[meta.policy])
+        out.append(POLICY_IDS[meta.policy])
         out += _U64.pack(meta.original_bit_length)
     else:
         if meta.algorithm == "clone":

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--rounds", type=int, default=1)
     enc.add_argument("--seed", type=_parse_seed, default=0,
                      help="decimal or 0x-hex key")
-    enc.add_argument("--policy", choices=("canonical", "keyed"), default="canonical",
+    enc.add_argument("--policy", choices=tuple(bitio.POLICY_IDS), default="canonical",
                      help="fma representation choice")
     enc.add_argument("--m", type=int, default=0, help="fma target width override")
     enc.add_argument("--mults", type=_parse_mults, default=None,

@@ -29,7 +29,6 @@ def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
     """
     coder = _coder(algorithm, n, seed, multiplicities, m, policy)
     if algorithm == "fma":
-        bitio.check_target_width(coder.target_width)
         stream = fma.fma_encode(bits, coder)
         meta = bitio.ContainerMeta(
             algorithm="fma", n=n, seed=seed, m=coder.target_width, policy=policy,

@@ -7,30 +7,35 @@ plural representation, and the keyed policy picks among a value's words
 with a per-chunk generator, so the same input encodes differently under
 different keys while decoding stays choice-independent.
 
-A keyed chunk takes word `selector % count` of its value's words in
-ascending order. One chunk at a time, that word is unranked from a table
-of word counts per position and value (`gpn._ranking`), built once per
-weight system, width and N: at most 2^N counts for each position whose
-weight is below 2^N, however many words there are, so keyed chunks work
-at every width 1-255.
+Both policies follow one rule: chunk i takes word `selector % count` of its
+value's words in ascending order. The keyed selector is chunk i's draw
+(`prng.indexed_draws`); the canonical selector is -1, the last word: the
+lexicographically largest, which is the greedy highest-weight-first word
+whenever greedy does not strand a remainder, and always the word
+`gpn.canonical_encode` returns. One chunk at a time, that word is unranked
+from a table of word counts per position and value (`gpn._ranking`), built
+once per weight system, width and N: at most 2^N counts for each position
+whose weight is below 2^N, however many words there are. N and M are held
+to the container's limits, 1-16 and 1-255, which bounds that table.
 
 Whole-stream calls look chunks and words up in tables when the call is
 long enough to pay for them, by the rule the core+flag rounds use
 (`multichannel._table_pays`): keys at most 12 bits wide and at least four
-lookups per table entry. Encode maps each N-bit chunk string to its
-canonical word, or to its sorted representations for the keyed policy;
-decode maps each M-bit word of value below 2^N to its chunk string. The
-keyed chunk table and the word table come from one ordered pass over the
-words of value below 2^N (`gpn._words_by_value`). The per-chunk functions stay the reference
-path: short calls use them, and any table miss reruns the whole call
-through them, so every output bit and every error is the same on both
-paths.
+lookups per table entry. The chunk table must also hold at most four words
+per chunk encoded, since slowly growing weights give a value very many
+words. Encode maps each N-bit chunk string to its sorted words; decode
+maps each M-bit word of value below 2^N to its chunk string.
+Both tables come from one ordered pass over the words of value below 2^N
+(`gpn._words_by_value`). The per-chunk functions stay the reference path:
+short calls use them, and any table miss reruns the whole call through
+them, so every output bit and every error is the same on both paths.
 """
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .bitio import POLICY_IDS, check_target_width
 from .errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -41,11 +46,10 @@ from .gpn import (
     WeightSystem,
     _ranking,
     _words_by_value,
-    canonical_encode,
     evaluate,
     representation_count,
 )
-from .multichannel import _table_pays
+from .multichannel import _N_MAX, _TABLE_SHARE, _table_pays
 from .prng import indexed_draws
 
 __all__ = [
@@ -61,8 +65,6 @@ __all__ = [
 ]
 
 FIBONACCI = WeightSystem.fibonacci()
-
-_POLICIES = ("canonical", "keyed")
 
 # Chunks or words split per block on the table paths; bounds the key
 # strings alive at once.
@@ -84,10 +86,11 @@ def min_width(n: int, ws: WeightSystem = FIBONACCI) -> int:
 class FmaConfig:
     """Parameters of the expanding transform.
 
-    target_width defaults to the minimal covering width; any larger width
-    is valid and yields more representations per value. The keyed policy
-    draws its per-chunk selector from seed and chunk index only, so chunks
-    may be encoded in parallel without changing the output.
+    chunk_width is 1-16. target_width defaults to the minimal covering
+    width; any larger width up to 255 is valid and yields more
+    representations per value. The keyed policy draws its per-chunk
+    selector from seed and chunk index only, so chunks may be encoded in
+    parallel without changing the output.
     """
 
     chunk_width: int
@@ -97,15 +100,16 @@ class FmaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.chunk_width < 1:
-            raise ValueError(f"chunk_width must be positive, got {self.chunk_width}")
-        if self.policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
+        if not 1 <= self.chunk_width <= _N_MAX:
+            raise ValueError(
+                f"chunk_width must be in [1, {_N_MAX}], got {self.chunk_width}")
+        if self.policy not in POLICY_IDS:
+            raise ValueError(
+                f"policy must be one of {tuple(POLICY_IDS)}, got {self.policy!r}")
         if self.target_width == 0:
             object.__setattr__(self, "target_width",
                                min_width(self.chunk_width, self.weight_system))
-        if self.target_width < 1:
-            raise ValueError(f"target_width must be positive, got {self.target_width}")
+        check_target_width(self.target_width)
         if self.weight_system.max_value(self.target_width) < (1 << self.chunk_width) - 1:
             raise ValueError(
                 f"width {self.target_width} cannot represent every "
@@ -120,36 +124,30 @@ class FmaStream:
     original_bit_length: int
 
 
-def _chunk_words(ws: WeightSystem, m: int, n: int) -> list[list[str]]:
-    """The sorted m-bit words of each value below 2^n, in one ordered pass."""
-    return _words_by_value(ws.weights(m), (1 << n) - 1)
-
-
 @lru_cache(maxsize=64)
-def _canonical_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
-    """Chunk string -> canonical word, for every encodable n-bit chunk."""
-    table = {}
-    for v in range(1 << n):
-        try:
-            table[format(v, f"0{n}b")] = canonical_encode(v, m, ws)
-        except ValueError:
-            pass  # forbidden: a table miss
-    return table
-
-
-@lru_cache(maxsize=64)
-def _keyed_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]:
+def _chunk_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]:
     """Chunk string -> sorted representations, forbidden values left out."""
     return {format(v, f"0{n}b"): tuple(reps)
-            for v, reps in enumerate(_chunk_words(ws, m, n)) if reps}
+            for v, reps in enumerate(_words_by_value(ws.weights(m), (1 << n) - 1))
+            if reps}
 
 
 @lru_cache(maxsize=64)
 def _word_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
     """Word -> chunk string for every m-bit word of value below 2^n."""
-    return {word: format(v, f"0{n}b")
-            for v, reps in enumerate(_chunk_words(ws, m, n))
+    return {word: chunk for chunk, reps in _chunk_table(ws, m, n).items()
             for word in reps}
+
+
+def _chunk_table_pays(cfg: FmaConfig, chunks: int) -> bool:
+    """Whether encoding `chunks` chunks justifies the chunk table: its 2^N
+    keys pay (`_table_pays`) and it holds at most _TABLE_SHARE words per
+    chunk, so it is never larger than four payloads."""
+    n = cfg.chunk_width
+    if not _table_pays(n, chunks):
+        return False
+    ranking = _ranking(cfg.weight_system, cfg.target_width, (1 << n) - 1)
+    return sum(map(ranking.count, range(1 << n))) <= _TABLE_SHARE * chunks
 
 
 def _pieces(text: str, width: int):
@@ -161,37 +159,40 @@ def _pieces(text: str, width: int):
         yield split(text, lo, lo + step)
 
 
+def _selectors(cfg: FmaConfig, first: int, count: int):
+    """Word selectors of `count` consecutive chunks from chunk index `first`:
+    each chunk takes word `selector % count` of its value's sorted words,
+    so canonical's -1 is the last word."""
+    if cfg.policy == "canonical":
+        return [-1] * count
+    return indexed_draws(cfg.seed, first, count)
+
+
 def _encode_table(padded: str, cfg: FmaConfig) -> str:
     """Table encode of a padded bit string; KeyError on any chunk the
     per-chunk path would reject or read differently."""
-    n, m, ws = cfg.chunk_width, cfg.target_width, cfg.weight_system
-    if cfg.policy == "canonical":
-        table = _canonical_table(ws, m, n)
-        return "".join(["".join(map(table.__getitem__, keys))
-                        for keys in _pieces(padded, n)])
-    table = _keyed_table(ws, m, n)
+    table = _chunk_table(cfg.weight_system, cfg.target_width, cfg.chunk_width)
     parts = []
     first = 0
-    for keys in _pieces(padded, n):
-        draws = indexed_draws(cfg.seed, first, len(keys))
-        parts.append("".join([reps[d % len(reps)] for reps, d
-                              in zip(map(table.__getitem__, keys), draws)]))
+    for keys in _pieces(padded, cfg.chunk_width):
+        parts.append("".join([reps[sel % len(reps)] for reps, sel in zip(
+            map(table.__getitem__, keys), _selectors(cfg, first, len(keys)))]))
         first += len(keys)
     return "".join(parts)
 
 
-def _keyed_words(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
-    """Keyed words of consecutive chunk values, the first at chunk index
-    `first`: each value's words unranked at its selector modulo their count."""
+def _encode_values(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
+    """Words of consecutive chunk values, the first at chunk index `first`:
+    each value's words unranked at its selector modulo their count."""
     m = cfg.target_width
     ranking = _ranking(cfg.weight_system, m, (1 << cfg.chunk_width) - 1)
     words = []
-    for value, draw in zip(values, indexed_draws(cfg.seed, first, len(values))):
+    for value, selector in zip(values, _selectors(cfg, first, len(values))):
         count = ranking.count(value)
         if not count:
             raise NotRepresentableError(
                 f"value {value} is a forbidden combination at width {m}")
-        words.append(ranking.unrank(value, draw % count))
+        words.append(ranking.unrank(value, selector % count))
     return words
 
 
@@ -200,9 +201,7 @@ def fma_encode_chunk(value: int, cfg: FmaConfig, chunk_index: int = 0) -> str:
     if not 0 <= value < 1 << cfg.chunk_width:
         raise ValueError(
             f"value {value} outside [0, 2^{cfg.chunk_width})")
-    if cfg.policy == "canonical":
-        return canonical_encode(value, cfg.target_width, cfg.weight_system)
-    return _keyed_words([value], cfg, chunk_index)[0]
+    return _encode_values([value], cfg, chunk_index)[0]
 
 
 def fma_decode_chunk(word: str, cfg: FmaConfig) -> int:
@@ -222,7 +221,7 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     n = cfg.chunk_width
     padded = bits + "0" * (-len(bits) % n)
     payload = None
-    if _table_pays(n, len(padded) // n):
+    if _chunk_table_pays(cfg, len(padded) // n):
         try:
             payload = _encode_table(padded, cfg)
         except KeyError:
@@ -230,15 +229,10 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     if payload is None:
         if padded.strip("01"):  # int(chunk, 2) would read "_" and blanks
             raise ValueError("input is not a clean bit string")
-        if cfg.policy == "canonical":
-            payload = "".join([fma_encode_chunk(int(padded[i:i + n], 2), cfg)
-                               for i in range(0, len(padded), n)])
-        else:
-            parts = []
-            for keys in _pieces(padded, n):
-                parts += _keyed_words([int(key, 2) for key in keys], cfg,
-                                      len(parts))
-            payload = "".join(parts)
+        words = []
+        for keys in _pieces(padded, n):
+            words += _encode_values([int(key, 2) for key in keys], cfg, len(words))
+        payload = "".join(words)
     return FmaStream(payload=payload, original_bit_length=len(bits))
 
 

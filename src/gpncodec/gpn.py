@@ -336,11 +336,12 @@ def _ranking(ws: WeightSystem, width: int, cap: int) -> _Ranking:
 
 
 def canonical_encode(value: int, width: int, ws: WeightSystem) -> str:
-    """Deterministic representative among the representations of `value`.
+    """The lexicographically largest representation of `value`: the last
+    of its words in ascending order, which the canonical fma policy picks.
 
-    Greedy highest-weight-first; when the greedy scan strands a remainder
-    the lexicographically largest representation is used instead, for
-    values below 2^16 (it comes from a count table that grows with the
+    Greedy highest-weight-first, which finds that word whenever it does
+    not strand a remainder; when it strands, the word is unranked from a
+    count table instead, for values below 2^16 (the table grows with the
     value; larger values raise ValueError). Raises NotRepresentableError
     when no representation exists at this width.
     """

@@ -1,11 +1,12 @@
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpncodec import gpn
+from gpncodec import fma, gpn
 from gpncodec.errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -67,6 +68,16 @@ class TestConfig:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             FmaConfig(chunk_width=3, policy="random")
+
+    def test_rejects_widths_the_container_cannot_hold(self):
+        # N 1-16 and M 1-255 bound the count table a chunk is unranked from
+        with pytest.raises(ValueError, match=r"chunk_width must be in \[1, 16\]"):
+            FmaConfig(chunk_width=17)
+        with pytest.raises(ValueError, match=r"target width must be in \[1, 255\]"):
+            FmaConfig(chunk_width=3, target_width=256)
+        with pytest.raises(ValueError, match=r"target width must be in \[1, 255\]"):
+            FmaConfig(chunk_width=9,  # all ones: minimal width 511
+                      weight_system=WeightSystem.deformed_fibonacci((1,)))
 
 
 class TestChunks:
@@ -132,17 +143,43 @@ class TestChunks:
 
 
 class TestKeyedCost:
-    """A keyed chunk costs a table of counts per position and value, not
-    an enumeration of every word: N=16 stays cheap at any width."""
+    """A chunk of either policy costs a table of counts per position and
+    value, not an enumeration of every word: N=16 stays cheap at any
+    width."""
 
-    @pytest.mark.parametrize("m", [0, 255])  # 0: the minimal width, 23
-    def test_first_n16_chunk_meets_budget(self, m):
-        cfg = FmaConfig(chunk_width=16, target_width=m, policy="keyed", seed=1)
+    @pytest.mark.parametrize("m, policy", [  # m = 0: the minimal width, 23
+        pytest.param(0, "keyed", id="0"),
+        pytest.param(255, "keyed", id="255"),
+        pytest.param(0, "canonical", id="0-canonical"),
+        pytest.param(255, "canonical", id="255-canonical"),
+    ])
+    def test_first_n16_chunk_meets_budget(self, m, policy):
+        cfg = FmaConfig(chunk_width=16, target_width=m, policy=policy, seed=1)
         assert cfg.target_width == (m or 23)
         bits = "1011001110001111"
         gpn._ranking.cache_clear()
         start = time.perf_counter()
         stream = fma_encode(bits, cfg)
+        elapsed = time.perf_counter() - start
+        assert fma_decode(stream, cfg) == bits
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("policy", ["canonical", "keyed"])
+    @pytest.mark.parametrize("extra", [0, 10])
+    def test_slow_weights_skip_the_chunk_table(self, policy, extra):
+        # all-ones weights give value v C(M, v) words: at N=5 and M=31 the
+        # words of value below 32 number 2^31, so 128 chunks (enough keys
+        # for a 2^5-entry table) are unranked one at a time instead; the
+        # table is stubbed to fail fast rather than exhaust memory
+        ones = WeightSystem.deformed_fibonacci((1,))
+        cfg = FmaConfig(chunk_width=5, target_width=min_width(5, ones) + extra,
+                        weight_system=ones, policy=policy, seed=1)
+        bits = format(random.Random(extra).getrandbits(640), "0640b")
+        gpn._ranking.cache_clear()
+        start = time.perf_counter()
+        with mock.patch.object(fma, "_chunk_table",
+                               side_effect=AssertionError("chunk table built")):
+            stream = fma_encode(bits, cfg)
         elapsed = time.perf_counter() - start
         assert fma_decode(stream, cfg) == bits
         assert elapsed < 2.0

@@ -22,7 +22,7 @@ from gpncodec.errors import (
     NotRepresentableError,
 )
 from gpncodec.fma import FIBONACCI, FmaConfig, FmaStream, fma_decode, fma_encode
-from gpncodec.gpn import WeightSystem, evaluate, representation_count
+from gpncodec.gpn import WeightSystem, canonical_encode, evaluate, representation_count
 
 SYSTEMS = [
     FIBONACCI,
@@ -31,7 +31,7 @@ SYSTEMS = [
     WeightSystem.b_radix(3),                  # weights 1, 3, 9: 2 is forbidden
 ]
 SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 12345, 2 ** 80 + 7]
-TABLE_CACHES = (fma._canonical_table, fma._keyed_table, fma._word_table)
+TABLE_CACHES = (fma._chunk_table, fma._word_table)
 
 
 def outcome(fn, *args):
@@ -53,10 +53,9 @@ def lookups(cache) -> int:
 
 def encode_both(bits, cfg):
     """(table-eligible outcome, per-chunk outcome, whether a table ran)."""
-    cache = fma._canonical_table if cfg.policy == "canonical" else fma._keyed_table
-    before = lookups(cache)
+    before = lookups(fma._chunk_table)
     got = outcome(fma_encode, bits, cfg)
-    return got, per_chunk(fma_encode, bits, cfg), lookups(cache) > before
+    return got, per_chunk(fma_encode, bits, cfg), lookups(fma._chunk_table) > before
 
 
 def decode_both(stream, cfg):
@@ -127,6 +126,40 @@ def test_decode_of_arbitrary_words_matches(ws, n, extra, seed, length_shift):
     got, ref, tabled = decode_both(stream, cfg)
     assert got == ref
     assert tabled
+
+
+CANONICAL_SYSTEMS = SYSTEMS + [
+    WeightSystem.factorial(),                 # weights 1, 2, 6, 24: 4 is forbidden
+    WeightSystem.deformed_fibonacci((1, 3)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CANONICAL_SYSTEMS), st.integers(1, 6),
+       st.sampled_from([0, 1, 3]), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_canonical_policy_is_canonical_encode(ws, n, extra, tabled,
+                                              encodable_only, seed):
+    # the canonical policy takes the last sorted word; it must be the word
+    # canonical_encode picks, or raise its exception, chunk by chunk and
+    # over whole streams on either path
+    m = fma.min_width(n, ws) + extra
+    cfg = FmaConfig(chunk_width=n, target_width=m, weight_system=ws)
+    expected = [outcome(canonical_encode, v, m, ws) for v in range(1 << n)]
+    assert [outcome(fma.fma_encode_chunk, v, cfg)
+            for v in range(1 << n)] == expected
+
+    rng = random.Random(seed)
+    values = [v for v in range(1 << n)
+              if expected[v][0] == "ok" or not encodable_only]
+    chunks = [rng.choice(values) for _ in range(4 << n if tabled else 3)]
+    bits = "".join(format(v, f"0{n}b") for v in chunks)
+    errors = [expected[v] for v in chunks if expected[v][0] != "ok"]
+    want = errors[0] if errors else (
+        "ok", FmaStream("".join(expected[v][1] for v in chunks), len(bits)))
+    got, ref, used_table = encode_both(bits, cfg)
+    assert got == ref == want
+    assert used_table == tabled
 
 
 def table_sized_stream(cfg):

@@ -3,7 +3,7 @@ enumeration oracle.
 
 `gpn._Ranking` picks word `index` of a value from a table of counts, and
 `gpn._words_by_value` lists every word of each value in one ordered pass;
-keyed fma takes its words from both. Each must agree with
+fma takes its words from both, under either policy. Each must agree with
 `sorted(representations(v, M, ws))` for every chunk value.
 """
 
@@ -12,7 +12,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpncodec import fma, gpn
+from gpncodec import gpn
 from gpncodec.fma import FIBONACCI, FmaConfig, fma_encode_chunk, min_width
 from gpncodec.gpn import WeightSystem, evaluate, representation_count, representations
 from gpncodec.prng import SplitMix64, splitmix64
@@ -44,7 +44,7 @@ def test_unrank_and_ordered_pass_match_sorted_representations(params):
     ws, n, m = params
     cap = (1 << n) - 1
     ranking = gpn._Ranking(ws, m, cap)
-    buckets = fma._chunk_words(ws, m, n)
+    buckets = gpn._words_by_value(ws.weights(m), cap)
     for v in range(1 << n):
         expected = sorted(representations(v, m, ws))
         assert ranking.count(v) == representation_count(v, m, ws) == len(expected)
