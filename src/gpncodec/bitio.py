@@ -53,6 +53,8 @@ _POLICY_NAMES = {v: k for k, v in POLICY_IDS.items()}
 # both travel in one header byte
 MAX_ROUNDS = 255
 MAX_TARGET_WIDTH = 255
+# the widest symbol (core+flag) or chunk (fma) any codec takes
+MAX_SYMBOL_WIDTH = 16
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -109,8 +111,9 @@ def check_target_width(m: int) -> None:
 def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
     if meta.algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {meta.algorithm!r}")
-    if not 1 <= meta.n <= 16:
-        raise ValueError(f"symbol width must be in [1, 16], got {meta.n}")
+    if not 1 <= meta.n <= MAX_SYMBOL_WIDTH:
+        raise ValueError(
+            f"symbol width must be in [1, {MAX_SYMBOL_WIDTH}], got {meta.n}")
     if meta.algorithm == "mv2" and meta.n < 2:
         raise ValueError("mv2 needs a symbol width of at least 2")
     if not 0 <= meta.seed < 1 << 64:

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitio import POLICY_IDS, check_target_width
+from .bitio import MAX_SYMBOL_WIDTH, POLICY_IDS, check_target_width
 from .errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -49,7 +49,7 @@ from .gpn import (
     evaluate,
     representation_count,
 )
-from .multichannel import _N_MAX, _TABLE_SHARE, _table_pays
+from .multichannel import _TABLE_SHARE, _table_pays
 from .prng import indexed_draws
 
 __all__ = [
@@ -100,9 +100,9 @@ class FmaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.chunk_width <= _N_MAX:
-            raise ValueError(
-                f"chunk_width must be in [1, {_N_MAX}], got {self.chunk_width}")
+        if not 1 <= self.chunk_width <= MAX_SYMBOL_WIDTH:
+            raise ValueError(f"chunk_width must be in [1, {MAX_SYMBOL_WIDTH}], "
+                             f"got {self.chunk_width}")
         if self.policy not in POLICY_IDS:
             raise ValueError(
                 f"policy must be one of {tuple(POLICY_IDS)}, got {self.policy!r}")

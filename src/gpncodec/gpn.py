@@ -21,7 +21,7 @@ this module.
 import math
 import threading
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 from .errors import NotRepresentableError
 
@@ -92,23 +92,16 @@ class WeightSystem:
         return f"WeightSystem.{self.kind}()"
 
     def _extend(self, cur: list[int], upto: int) -> None:
+        if self.kind == "factorial":
+            cur.extend(map(math.factorial, range(len(cur) + 1, upto + 1)))
+            return
+        # R_1 = 1, R_k = sum_i c_i * R_{k-i}: b_radix is the recurrence
+        # with coefficients (b,), fibonacci with (1, 1)
+        coefficients = {"b_radix": (self.b,), "fibonacci": (1, 1)}.get(
+            self.kind, self.deformation)
         while len(cur) < upto:
-            pos = len(cur) + 1
-            if self.kind == "b_radix":
-                cur.append(self.b ** (pos - 1))
-            elif self.kind == "factorial":
-                cur.append(math.factorial(pos))
-            elif self.kind == "fibonacci":
-                cur.append(1 if pos <= 2 else cur[-1] + cur[-2])
-            else:
-                if pos == 1:
-                    cur.append(1)
-                else:
-                    acc = 0
-                    for i, c in enumerate(self.deformation, start=1):
-                        if pos - i >= 1:
-                            acc += c * cur[pos - i - 1]
-                    cur.append(acc)
+            cur.append(sum(map(mul, coefficients, reversed(cur)))
+                       if cur else 1)
 
     def weights(self, m: int) -> list[int]:
         """The weights R_1..R_m as a fresh list."""
@@ -187,33 +180,28 @@ def representations(value: int, width: int, ws: WeightSystem) -> set[str]:
 
 
 def representation_count(value: int, width: int, ws: WeightSystem) -> int:
-    """|representations(value, width, ws)| without materializing the set."""
+    """|representations(value, width, ws)| without materializing the set.
+
+    Position by position from the highest weight down, over the remainders
+    still reachable by the positions below, each with its number of
+    prefixes; there is no width limit.
+    """
     if value < 0:
         raise ValueError(f"value must be nonnegative, got {value}")
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
-    if width > _ENUM_WIDTH_LIMIT:
-        raise ValueError(f"width {width} above enumeration limit {_ENUM_WIDTH_LIMIT}")
     w = ws.weights(width)
-    reach = [0] * (width + 1)
-    for k in range(1, width + 1):
-        reach[k] = reach[k - 1] + w[k - 1]
-
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(k: int, remaining: int) -> int:
-        if remaining < 0 or remaining > reach[k]:
-            return 0
-        if k == 0:
-            return 1
-        key = (k, remaining)
-        hit = memo.get(key)
-        if hit is None:
-            hit = count(k - 1, remaining - w[k - 1]) + count(k - 1, remaining)
-            memo[key] = hit
-        return hit
-
-    return count(width, value)
+    reach = sum(w)
+    counts = {value: 1}
+    for wt in reversed(w):
+        reach -= wt  # R_1 + ... + R_(k-1) once position k is placed
+        below = {}
+        for remaining, count in counts.items():
+            for rest in (remaining, remaining - wt):
+                if 0 <= rest <= reach:
+                    below[rest] = below.get(rest, 0) + count
+        counts = below
+    return counts.get(0, 0)
 
 
 # Lowest positions an unrank finishes with one lookup: 2^12 words at most.

@@ -7,15 +7,20 @@ Neither channel alone recovers the input. Because every codeword is at
 most N bits the core never grows, and the whole procedure can be fed its
 own core again for further rounds.
 
-Three codebook families share this machinery:
+Every codebook decomposes 2^N into class sizes M_K and follows one rule
+(`_codebook`): class K takes the first M_K words of its code width in
+lexicographic order, classes ascending, and the symbols, keyed-shuffled
+when the seed is not 0, are paired with that code list by position.
+Three families choose the sizes, widths and symbol order:
 
-* MV2: classes of sizes 2^1, ..., 2^(N-1) plus two length-N leftovers,
-  i.e. 2^N = 2 + sum 2^K. All K-bit words are in use for K < N.
-* clones: any class sizes M_1..M_N with sum M_K = 2^N and M_K <= 2^K.
-* binomial: symbol s joins class K = popcount(s) (the C(N, K) identity
-  2^N = sum C(N, K) replaces the power-of-two split); its codeword is the
-  combinadic rank of s in ceil(log2 C(N, K)) bits, so singleton classes
-  emit nothing and the flag alone carries them.
+* clones: any sizes M_1..M_N with sum M_K = 2^N and M_K <= 2^K, class K
+  of width K, symbols in ascending order.
+* MV2: the clone of sizes 2, 4, ..., 2^(N-1), 2, i.e. 2^N = 2 + sum 2^K;
+  at N=2 class 2 holds 00 and 11, and seed 0 is a fixed preset table.
+* binomial: sizes C(N, K) for K = 0..N (2^N = sum C(N, K)), width
+  ceil(log2 C(N, K)), symbols in popcount order. A symbol joins class
+  popcount(s) and its codeword is its combinadic rank, so singleton
+  classes emit nothing and the flag alone carries them.
 
 The flag codeword for class K is '1' followed by (N - K) zeros, which is
 uniquely decodable forward by splitting before each '1'.
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 
+from .bitio import MAX_SYMBOL_WIDTH
 from .errors import (
     BitAlignmentError,
     ClassOverflowError,
@@ -38,9 +44,6 @@ from .errors import (
 )
 from .prng import keyed_shuffle
 
-_N_MIN_MV2 = 2
-_N_MAX = 16
-
 # Rounds look symbols up g at a time through tables of 2^(g*N) entries:
 # keys are at most _KEY_BITS wide, and a round uses g only when it has at
 # least _TABLE_SHARE times as many symbols as the table has entries, so
@@ -50,10 +53,6 @@ _TABLE_SHARE = 4
 # Input bits (encode) or flag bits (decode) handled per block; bounds the
 # key strings alive at once.
 _BLOCK_BITS = 1 << 16
-
-# Canonical two-bit codebook: the seed-0 preset the multi-round walkthrough
-# and all goldens are pinned to.
-_CANONICAL_N2 = {"00": "0", "01": "00", "10": "11", "11": "1"}
 
 
 def flag_codeword(k: int, n: int) -> str:
@@ -157,56 +156,69 @@ class Codebook:
 
 
 def _check_n(n: int, minimum: int) -> None:
-    if not minimum <= n <= _N_MAX:
-        raise ValueError(f"symbol width must be in [{minimum}, {_N_MAX}], got {n}")
+    if not minimum <= n <= MAX_SYMBOL_WIDTH:
+        raise ValueError(
+            f"symbol width must be in [{minimum}, {MAX_SYMBOL_WIDTH}], got {n}")
 
 
-@lru_cache(maxsize=_N_MAX + 1)
+@lru_cache(maxsize=MAX_SYMBOL_WIDTH + 1)
 def _all_words(width: int) -> tuple[str, ...]:
-    """All width-bit words in ascending (lexicographic) order."""
+    """All width-bit words in ascending (lexicographic) order; width 0 has
+    the one empty word."""
+    if not width:
+        return ("",)
     return tuple(format(i, f"0{width}b") for i in range(1 << width))
 
 
-@lru_cache(maxsize=_N_MAX + 1)
-def _mv2_code_list(n: int) -> tuple[tuple[str, int], ...]:
-    """(code, class) pairs: every K-bit word for K < n, then the two
-    length-n leftovers, class ascending and lexicographic within."""
-    pairs = [(code, k) for k in range(1, n) for code in _all_words(k)]
-    if n == 2:
-        pairs += [("00", 2), ("11", 2)]
-    else:
-        pairs += [(_all_words(n)[0], n), (_all_words(n)[1], n)]
-    return tuple(pairs)
+# room for every mv2 and every binomial code list at once
+@lru_cache(maxsize=2 * MAX_SYMBOL_WIDTH)
+def _code_list(sizes: tuple[tuple[int, int], ...],
+               widths: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+    """(code, class) pairs: for each (class K, size M_K) in order, the
+    first M_K words of K's width in lexicographic order."""
+    return tuple((code, k) for (k, m), w in zip(sizes, widths)
+                 for code in _all_words(w)[:m])
+
+
+def _codebook(n: int, sizes: dict[int, int], widths: dict[int, int],
+              symbols, seed: int = 0, codes=None) -> Codebook:
+    """The one core+flag codebook rule: `symbols`, keyed-shuffled when
+    seed != 0, paired by position with the code list of `sizes` and
+    `widths` (`_code_list`), or with `codes` when given."""
+    if codes is None:
+        codes = _code_list(tuple(sizes.items()), tuple(widths.values()))
+    if seed:
+        symbols = keyed_shuffle(symbols, seed)
+    return Codebook(n, dict(zip(symbols, codes)), widths, sizes, seed)
 
 
 def build_mv2_codebook(n: int, seed: int = 0) -> Codebook:
-    """MV2 codebook: class sizes 2^1..2^(n-1) plus 2, keyed by `seed`.
+    """MV2 codebook: the clone book of class sizes 2, 4, ..., 2^(n-1), 2,
+    keyed by `seed`.
 
-    Seed 0 is the canonical preset (the fixed two-bit table at n=2,
-    lexicographic symbol-to-code pairing beyond); any other seed pairs the
-    same code list with a keyed permutation of the symbols.
+    One exception: at n=2, class 2 holds the codes 00 and 11, and seed 0
+    is the preset table 00->0, 01->00, 10->11, 11->1 (the symbol order
+    00, 11, 01, 10). Wider books at seed 0 pair the symbols in order.
     """
-    _check_n(n, _N_MIN_MV2)
-    symbols = list(_all_words(n))
-    pairs = _mv2_code_list(n)
-    if seed == 0 and n == 2:
-        encode = {sym: (code, len(code)) for sym, code in _CANONICAL_N2.items()}
-        symbols = list(encode)
-        pairs = list(encode.values())
-    elif seed != 0:
-        symbols = keyed_shuffle(symbols, seed)
-    mults = {k: 1 << k for k in range(1, n)}
-    mults[n] = 2
-    class_width = {k: k for k in range(1, n + 1)}
-    return Codebook(n, dict(zip(symbols, pairs)), class_width, mults, seed)
+    _check_n(n, 2)
+    sizes = {k: 1 << k for k in range(1, n)}
+    sizes[n] = 2
+    symbols, codes = _all_words(n), None
+    if n == 2:
+        codes = (("0", 1), ("1", 1), ("00", 2), ("11", 2))
+        if not seed:
+            symbols = ("00", "11", "01", "10")
+    return _codebook(n, sizes, {k: k for k in range(1, n + 1)}, symbols,
+                     seed, codes)
 
 
 def build_clone_codebook(n: int, multiplicities, seed: int = 0) -> Codebook:
     """Clone codebook with `multiplicities[k-1]` codes of each length k.
 
     Feasibility: the multiplicities must sum to 2^n and no class may hold
-    more than 2^k codes. Class k uses its lexicographically first
-    multiplicities[k-1] words; symbol assignment is keyed like mv2.
+    more than 2^k codes. Class k takes its lexicographically first
+    multiplicities[k-1] words; the symbols in ascending order, shuffled
+    when seed != 0, are paired with those codes by position.
     """
     _check_n(n, 1)
     mults = [int(m) for m in multiplicities]
@@ -222,33 +234,23 @@ def build_clone_codebook(n: int, multiplicities, seed: int = 0) -> Codebook:
         if m > 1 << k:
             raise ClassOverflowError(
                 f"class {k} holds {m} codes, only {1 << k} {k}-bit words exist")
-    symbols = list(_all_words(n))
-    if seed != 0:
-        symbols = keyed_shuffle(symbols, seed)
-    pairs = [(code, k) for k, m in enumerate(mults, start=1)
-             for code in _all_words(k)[:m]]
-    class_width = {k: k for k in range(1, n + 1)}
-    return Codebook(n, dict(zip(symbols, pairs)), class_width,
-                    {k: m for k, m in enumerate(mults, start=1)}, seed)
+    return _codebook(n, dict(enumerate(mults, start=1)),
+                     {k: k for k in range(1, n + 1)}, _all_words(n), seed)
 
 
 def build_binomial_codebook(n: int) -> Codebook:
-    """Binomial codebook: class = popcount, code = fixed-width combinadic rank."""
+    """Binomial codebook: class = popcount, code = fixed-width combinadic
+    rank, so singleton classes emit nothing.
+
+    Class K holds C(n, K) codes of ceil(log2 C(n, K)) bits. The symbols go
+    in popcount order; the sort is stable, so a symbol's place in its
+    class is its combinadic rank.
+    """
     _check_n(n, 1)
-    class_width = {k: (math.comb(n, k) - 1).bit_length() for k in range(n + 1)}
-    rank_words = {k: _all_words(w) if w else ("",)
-                  for k, w in class_width.items()}
-    symbols = _all_words(n)
-    pairs = []
-    # symbols are visited in ascending lexicographic order, so a per-class
-    # counter yields exactly combo_rank(sym)
-    next_rank = [0] * (n + 1)
-    for sym in symbols:
-        k = sym.count("1")
-        pairs.append((rank_words[k][next_rank[k]], k))
-        next_rank[k] += 1
-    mults = {k: math.comb(n, k) for k in range(n + 1)}
-    return Codebook(n, dict(zip(symbols, pairs)), class_width, mults)
+    sizes = {k: math.comb(n, k) for k in range(n + 1)}
+    widths = {k: (m - 1).bit_length() for k, m in sizes.items()}
+    symbols = sorted(_all_words(n), key=lambda sym: sym.count("1"))
+    return _codebook(n, sizes, widths, symbols)
 
 
 def build_codebook(algorithm: str, n: int, seed: int = 0,

@@ -73,6 +73,12 @@ class TestWeights:
         deformed = WeightSystem.deformed_fibonacci([1, 1])
         assert weights(deformed, 64) == weights(FIB, 64)
 
+    def test_deformed_single_coefficient_is_b_radix(self):
+        for b in range(2, 12):
+            deformed = WeightSystem.deformed_fibonacci((b,))
+            assert weights(WeightSystem.b_radix(b), 80) == weights(deformed, 80)
+            assert weights(deformed, 80) == [b ** k for k in range(80)]
+
     def test_fibonacci_recurrence(self):
         w = weights(FIB, 40)
         for k in range(2, 40):
@@ -215,8 +221,9 @@ class TestRepresentations:
     def test_width_limit(self):
         with pytest.raises(ValueError):
             representations(1, 65, FIB)
-        with pytest.raises(ValueError):
-            representation_count(1, 65, FIB)
+        # counting has no width limit: only R_1 = R_2 = 1 reach the value 1
+        assert representation_count(1, 65, FIB) == 2
+        assert representation_count(1, 255, FIB) == 2
 
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -189,6 +190,36 @@ class TestBinomialCodebook:
                 assert cb.decode_map[(k, code)] == sym
                 seen.add((k, code))
             assert len(seen) == 2 ** n
+
+
+class TestCodebookTables:
+    SEEDS = (0, 1, (1 << 64) - 1)
+    CLONES = ((2,), (1, 3, 4), (0, 2, 6), (2, 4, 8, 16, 32, 64, 128, 2))
+
+    def books(self):
+        for n in range(2, 17):
+            for seed in self.SEEDS:
+                yield build_mv2_codebook(n, seed)
+        for mults in self.CLONES:
+            for seed in self.SEEDS:
+                yield build_clone_codebook(len(mults), mults, seed)
+        for n in range(1, 17):
+            yield build_binomial_codebook(n)
+
+    def test_every_table_digest(self):
+        # pins every symbol's code and class, keyed tables included
+        digest = hashlib.sha256()
+        count = 0
+        for cb in self.books():
+            for sym in sorted(cb.encode_map):
+                code, k = cb.encode_map[sym]
+                digest.update(f"{sym}\t{code}\t{k}\n".encode())
+            digest.update(f"{sorted(cb.class_width.items())}|"
+                          f"{sorted(cb.multiplicities.items())}|{cb.seed}\n".encode())
+            count += 1
+        assert count == 73
+        assert digest.hexdigest() == (
+            "e1792f885d8f1b40f3dd1bc71f16fe58fba14f46f3dcb984ecfee025c48e80d9")
 
 
 class TestRounds:
