@@ -187,7 +187,7 @@ class _Cursor:
         if self.pos + count > len(self.data):
             raise TruncatedSectionError(
                 f"container ended inside {what} "
-                f"(need {count} bytes at offset {self.pos})")
+                f"(need {count} bytes at offset {self.pos})", what, self.pos)
         piece = self.data[self.pos:self.pos + count]
         self.pos += count
         return piece
@@ -207,11 +207,13 @@ class _Cursor:
         if self.pos + nbytes > len(self.data):
             available = 8 * (len(self.data) - self.pos)
             raise LengthOverflowError(
-                f"{what} declares {bit_length} bits, {available} available")
+                f"{what} declares {bit_length} bits, {available} available",
+                what, self.pos)
         raw = self.take(nbytes, what)
         bits = unpack_bits(raw, bit_length)
         if bit_length % 8 and raw[-1] & ((1 << (8 - bit_length % 8)) - 1):
-            raise ContainerFormatError(f"{what} padding bits are not zero")
+            raise ContainerFormatError(f"{what} padding bits are not zero",
+                                       what, self.pos - 1)
         return bits
 
 
@@ -223,14 +225,16 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[str], str]:
     """
     cur = _Cursor(data)
     if cur.take(4, "magic") != MAGIC:
-        raise BadMagicError("not a GPNC container")
+        raise BadMagicError("not a GPNC container", "magic", 0)
     version = cur.u8("version")
     if version != VERSION:
-        raise BadVersionError(f"unsupported container version {version}")
+        raise BadVersionError(f"unsupported container version {version}",
+                              "version", 4)
     algo_id = cur.u8("algorithm id")
     algorithm = _ALGORITHM_NAMES.get(algo_id)
     if algorithm is None:
-        raise ContainerFormatError(f"unknown algorithm id {algo_id}")
+        raise ContainerFormatError(f"unknown algorithm id {algo_id}",
+                                   "algorithm id", 5)
     n = cur.u8("symbol width")
     seed = cur.u64("seed")
     if algorithm == "fma":
@@ -238,7 +242,8 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[str], str]:
         policy_id = cur.u8("policy")
         policy = _POLICY_NAMES.get(policy_id)
         if policy is None:
-            raise ContainerFormatError(f"unknown policy id {policy_id}")
+            raise ContainerFormatError(f"unknown policy id {policy_id}",
+                                       "policy", cur.pos - 1)
         original = cur.u64("original bit length")
         meta = ContainerMeta(algorithm=algorithm, n=n, seed=seed, m=m,
                              policy=policy, original_bit_length=original)
@@ -257,10 +262,12 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[str], str]:
     try:
         _validate_meta(meta, meta.rounds)
     except ValueError as exc:
-        raise ContainerFormatError(f"container header rejected: {exc}") from exc
+        raise ContainerFormatError(f"container header rejected: {exc}",
+                                   "header", cur.pos) from exc
     flag_streams = [cur.section(f"flag section {i + 1}") for i in range(meta.rounds)]
     payload = cur.section("core section" if algorithm != "fma" else "payload section")
     if cur.pos != len(data):
         raise ContainerFormatError(
-            f"{len(data) - cur.pos} trailing bytes after final section")
+            f"{len(data) - cur.pos} trailing bytes after final section",
+            "trailing bytes", cur.pos)
     return meta, flag_streams, payload

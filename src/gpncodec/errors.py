@@ -47,7 +47,13 @@ class InvalidChunkError(DecodeError):
 
 
 class ContainerError(GpnError):
-    """Base class for container parsing failures."""
+    """Base class for container parsing failures. `field` and `offset` name
+    the field and byte offset where `bitio.read_container` stopped, else None."""
+
+    def __init__(self, message: str = "", field: str | None = None,
+                 offset: int | None = None):
+        super().__init__(message)
+        self.field, self.offset = field, offset
 
 
 class BadMagicError(ContainerError):

@@ -37,7 +37,6 @@ from .errors import (
     BitAlignmentError,
     ClassOverflowError,
     CorruptStreamError,
-    DecodeError,
     InfeasibleMultiplicitiesError,
     MalformedFlagError,
     UnknownCodewordError,
@@ -51,7 +50,7 @@ from .prng import keyed_shuffle
 _KEY_BITS = 12
 _TABLE_SHARE = 4
 # Input bits (encode) or flag bits (decode) handled per block; bounds the
-# key strings alive at once.
+# key strings, and the per-symbol decode lists, alive at once.
 _BLOCK_BITS = 1 << 16
 
 
@@ -97,7 +96,9 @@ class Codebook:
     and are built the first time a round of that direction and g runs on
     this codebook: for encode, key -> core and key -> flags, where a key is
     g symbols concatenated; for decode, (flag group, core group) -> symbols
-    and flag group -> core width.
+    and flag group -> core width. Decode reads the codewords outside whole
+    groups through the run tables, one entry per class: flag run (the
+    zeros after a '1') -> class and flag run -> core width.
     """
 
     symbol_width: int
@@ -117,6 +118,13 @@ class Codebook:
                      for k in self.class_width}
         return {sym: (code, flagwords[k])
                 for sym, (code, k) in self.encode_map.items()}
+
+    @cached_property
+    def _run_tables(self) -> tuple[dict[str, int], dict[str, int]]:
+        # flag run (the zeros after a '1') -> class and -> core width
+        n = self.symbol_width
+        return ({"0" * (n - k): k for k in self.class_width},
+                {"0" * (n - k): w for k, w in self.class_width.items()})
 
     @cached_property
     def _group_tables(self) -> dict:
@@ -384,52 +392,58 @@ def _decode_symbols(core: str, flags: str, cb: Codebook) -> str:
     return "".join(symbols)
 
 
-def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
-    """Table decode of whole groups of g codewords and the tail per symbol.
+def _cut(core: str, pos: int, widths) -> tuple:
+    """(core slices of `widths` from `pos`, the position after them)."""
+    cuts = list(accumulate(widths, initial=pos))
+    return map(core.__getitem__, map(slice, cuts, islice(cuts, 1, None))), cuts[-1]
 
-    The flag stream is cut into windows that end before a '1', so each
-    holds whole codewords. None when the groups do not tile the flags, a
-    (flag group, core group) pair is not in the table, or the core length
-    does not match; the caller then reruns the round per symbol.
+
+def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
+    """Window decode: the one decode loop at every g.
+
+    The flag stream is cut into windows of about _BLOCK_BITS bits that end
+    before a '1', so each holds whole codewords. A window decodes its
+    whole groups of g codewords through the grouped tables when g >= 2,
+    then the rest one flag run at a time. None when a window does not
+    parse, a lookup misses or the core length does not match; the caller
+    then reruns the round per symbol.
     """
-    symbols_of, width_of, find_groups = cb._decode_tables(g)
+    class_of, width_of = cb._run_tables
+    decode_map = cb.decode_map
+    if g > 1:
+        symbols_of, group_width, find_groups = cb._decode_tables(g)
     out = []
     start = pos = 0
-    last = False
-    while not last:
-        end = flags.find("1", start + _BLOCK_BITS)
-        last = end < 0
-        if last:
-            end = len(flags)
-        groups = find_groups(flags, start, end)
-        matched = "".join(groups)
-        if not flags.startswith(matched, start):
-            return None
-        start += len(matched)
-        if not groups and not last:
-            return None  # a whole window of valid flags holds a group
-        try:
-            offsets = list(accumulate(map(width_of.__getitem__, groups),
-                                      initial=pos))
-            cuts = map(slice, offsets, islice(offsets, 1, None))
-            core_groups = map(core.__getitem__, cuts)
-            out.append("".join(map(symbols_of.__getitem__,
-                                   zip(groups, core_groups))))
-        except KeyError:
-            return None
-        pos = offsets[-1]
     try:
-        out.append(_decode_symbols(core[pos:], flags[start:], cb))
-    except DecodeError:
+        while start < len(flags):
+            end = flags.find("1", start + _BLOCK_BITS)
+            if end < 0:
+                end = len(flags)
+            if g > 1:
+                groups = find_groups(flags, start, end)
+                matched = "".join(groups)
+                if not flags.startswith(matched, start):
+                    return None
+                start += len(matched)
+                codes, pos = _cut(core, pos, map(group_width.__getitem__, groups))
+                out.append("".join(map(symbols_of.__getitem__, zip(groups, codes))))
+            runs = flags[start:end].split("1")
+            if runs[0]:
+                return None
+            del runs[0]
+            codes, pos = _cut(core, pos, map(width_of.__getitem__, runs))
+            out.append("".join(map(decode_map.__getitem__,
+                                   zip(map(class_of.__getitem__, runs), codes))))
+            start = end
+    except KeyError:
         return None
-    return "".join(out)
+    return "".join(out) if pos == len(core) else None
 
 
 def decode_round(core: str, flags: str, cb: Codebook) -> str:
     """Invert one round from its two channels."""
     g = _group_size(cb.symbol_width, flags.count("1"))
-    # with g = 1 the table decode measured slower than the per-symbol loop
-    symbols = _decode_groups(core, flags, cb, g) if g > 1 else None
+    symbols = _decode_groups(core, flags, cb, g)
     if symbols is None:
         symbols = _decode_symbols(core, flags, cb)
     return symbols

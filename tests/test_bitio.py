@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpncodec import codec
 from gpncodec.bitio import (
     ContainerMeta,
     pack_bits,
@@ -251,3 +252,58 @@ class TestReadRejection:
         data[16] = 2
         with pytest.raises(ContainerFormatError):
             read_container(bytes(data))
+
+
+# the six base containers of acceptance criterion 10
+FUZZ_BASES = [
+    dict(algorithm="mv2", n=2, seed=0, rounds=2),
+    dict(algorithm="mv2", n=5, seed=123, rounds=3),
+    dict(algorithm="clone", n=3, seed=9, rounds=2, multiplicities=(1, 3, 4)),
+    dict(algorithm="binomial", n=4, rounds=2),
+    dict(algorithm="fma", n=3, seed=0),
+    dict(algorithm="fma", n=4, m=8, policy="keyed", seed=77),
+]
+
+
+class TestErrorLocation:
+    def located(self, data):
+        """(field, offset) of read_container's error on `data`, or None."""
+        try:
+            read_container(data)
+        except ContainerError as exc:
+            assert isinstance(exc.field, str)
+            assert 0 <= exc.offset <= len(data)
+            return exc.field, exc.offset
+        return None
+
+    @pytest.mark.parametrize("params", FUZZ_BASES,
+                             ids=[f"{p['algorithm']}-{p['n']}" for p in FUZZ_BASES])
+    def test_every_truncation_and_byte_flip(self, params):
+        rng = random.Random(0xF00D)
+        data = codec.encode_to_container(random_bits(rng, 256), **params)
+        located = 0
+        for cut in range(len(data)):
+            assert self.located(data[:cut]) is not None
+        for i in range(len(data)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(data)
+                damaged[i] ^= mask
+                located += self.located(bytes(damaged)) is not None
+        assert located
+
+    def test_named_fields(self):
+        data = bytes.fromhex(WALKTHROUGH_HEX)
+        assert self.located(b"") == ("magic", 0)
+        assert self.located(b"XPNC" + data[4:]) == ("magic", 0)
+        assert self.located(data[:4] + b"\x09" + data[5:]) == ("version", 4)
+        assert self.located(data[:5] + b"\xc8" + data[6:]) == ("algorithm id", 5)
+        assert self.located(data[:15] + b"\x00" + data[16:]) == ("header", 16)
+        assert self.located(data[:20]) == ("round 1 length", 16)
+        assert self.located(data + b"\x00") == ("trailing bytes", len(data))
+        assert self.located(data[:-1] + b"\x41") == ("core section", len(data) - 1)
+
+    def test_errors_outside_the_reader_carry_no_location(self):
+        with pytest.raises(LengthOverflowError) as info:
+            unpack_bits(b"\x00", 9)
+        assert (info.value.field, info.value.offset) == (None, None)
+        assert str(info.value) == "declared 9 bits, buffer holds 8"

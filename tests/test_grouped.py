@@ -6,6 +6,7 @@ here compares the two, on valid channels and on damaged ones.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpncodec import multichannel
-from gpncodec.errors import GpnError
+from gpncodec.errors import GpnError, MalformedFlagError
 from gpncodec.multichannel import (
     _KEY_BITS,
     _TABLE_SHARE,
@@ -24,6 +25,7 @@ from gpncodec.multichannel import (
     _group_size,
     build_binomial_codebook,
     build_clone_codebook,
+    build_codebook,
     build_mv2_codebook,
     decode_round,
     encode_round,
@@ -40,22 +42,24 @@ _MIN_WINDOW = 24
 
 @st.composite
 def books(draw):
-    """mv2 N=2..8 with and without a key, clone N=1..8, binomial N=1..8."""
+    """mv2 N=2..12 with and without a key, clone N=1..12, binomial N=1..12
+    (whose singleton classes have width 0)."""
     family = draw(st.sampled_from(["mv2", "mv2-keyed", "clone", "binomial"]))
     if family == "binomial":
-        return build_binomial_codebook(draw(st.integers(1, 8)))
+        return build_binomial_codebook(draw(st.integers(1, 12)))
     if family == "clone":
-        n = draw(st.integers(1, 8))
+        n = draw(st.integers(1, 12))
         mults = random_feasible_multiplicities(
             n, random.Random(draw(st.integers(0, 2 ** 32))))
         return build_clone_codebook(n, mults, draw(st.integers(0, 2 ** 64 - 1)))
     seed = draw(st.integers(1, 2 ** 64 - 1)) if family == "mv2-keyed" else 0
-    return build_mv2_codebook(draw(st.integers(2, 8)), seed)
+    return build_mv2_codebook(draw(st.integers(2, 12)), seed)
 
 
 def per_symbol():
     """Context in which every round takes the per-symbol path."""
-    return mock.patch.object(multichannel, "_group_size", lambda n, symbols: 0)
+    return mock.patch.multiple(multichannel, _group_size=lambda n, symbols: 0,
+                               _decode_groups=lambda *args: None)
 
 
 def outcome(fn, *args):
@@ -133,10 +137,21 @@ class TestGroupedMatchesPerSymbol:
         assert out == reference
         assert inverse_transform(out, cb) == bits
 
+    @settings(max_examples=150)
+    @given(books(), st.integers(0, 1), st.integers(0, 80), st.integers(0, 2 ** 32),
+           st.sampled_from([_MIN_WINDOW, 40, 100, 1 << 16]))
+    def test_window_kernel(self, cb, g, symbols, content_seed, block):
+        bits = random_bits(random.Random(content_seed), cb.symbol_width * symbols)
+        core, flags = _encode_symbols(bits, cb)
+        with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            assert _decode_groups(core, flags, cb, g) == bits
+        assert _decode_symbols(core, flags, cb) == bits
+
     @pytest.mark.parametrize("cb", [build_mv2_codebook(2), build_binomial_codebook(1)])
     def test_empty_input(self, cb):
         assert _encode_groups("", cb, _KEY_BITS // cb.symbol_width) == ("", "")
-        assert _decode_groups("", "", cb, _KEY_BITS // cb.symbol_width) == ""
+        for g in range(_KEY_BITS // cb.symbol_width + 1):
+            assert _decode_groups("", "", cb, g) == ""
         assert transform("", cb, 3) == transform("", cb, 1)
 
 
@@ -145,7 +160,9 @@ class TestErrorParity:
     @given(books(), st.data(), st.integers(0, 2 ** 32), st.randoms())
     def test_damaged_channels(self, cb, data, content_seed, rng):
         n = cb.symbol_width
-        g = data.draw(st.integers(2, max(2, _KEY_BITS // n)), label="g")
+        # g = 2 tables at N = 9..12 hold 2^18..2^24 rows; no round uses them
+        top = max(2, _KEY_BITS // n) if n <= 8 else 1
+        g = data.draw(st.integers(0, top), label="g")
         bits = random_bits(random.Random(content_seed),
                            n * data.draw(st.integers(0, 300), label="symbols"))
         core, flags = _encode_symbols(bits, cb)
@@ -174,9 +191,38 @@ class TestErrorParity:
             expected = outcome(inverse_transform, bad, cb)
         assert outcome(inverse_transform, bad, cb) == expected
 
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    def test_flags_must_start_with_one(self, g):
+        # all ones is binomial's width-0 class, so only the flags show the damage
+        cb = build_binomial_codebook(4)
+        core, flags = _encode_symbols("1111" + "0110" * 50, cb)
+        flags = "0" + flags[1:]
+        assert _decode_groups(core, flags, cb, g) is None
+        with mock.patch.object(multichannel, "_group_size", lambda n, s: g):
+            assert outcome(decode_round, core, flags, cb) == (
+                MalformedFlagError, "flag stream must start with '1'")
+
     def test_non_bit_character(self):
         cb = build_mv2_codebook(2)
         bits = "01" * 20_000 + "0x" + "10" * 10
         with pytest.raises(ValueError, match="input is not a clean bit string: '0x'"):
             encode_round(bits, cb)
         assert _encode_groups(bits, cb, 6) is None
+
+
+class TestDecodeMemory:
+    @pytest.mark.parametrize("algorithm, n", [
+        ("mv2", 7), ("mv2", 8), ("mv2", 16), ("binomial", 8), ("binomial", 12)])
+    def test_peak_is_a_small_multiple_of_the_output(self, algorithm, n):
+        cb = build_codebook(algorithm, n, 0x9E3779B97F4A7C15 if algorithm == "mv2" else 0)
+        bits = random_bits(random.Random(n), (1 << 20) // n * n)  # 128 KiB
+        out = encode_round(bits, cb)
+        assert decode_round(out.core, out.flags, cb) == bits  # warms the tables
+        tracemalloc.start()
+        try:
+            decoded = decode_round(out.core, out.flags, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == bits
+        assert peak <= 5 * len(decoded)
