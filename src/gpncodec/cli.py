@@ -68,6 +68,8 @@ def _weight_system(name: str, deform) -> gpn.WeightSystem:
 
 
 def cmd_encode(args) -> int:
+    if args.flags_out and args.algo == "fma":
+        raise ValueError("fma has one channel; --flags-out needs a core+flag algorithm")
     data = _read_bytes(args.infile)
     bits = bitio.unpack_bits(data)
     meta, flag_streams, payload = codec.encode_parts(
@@ -181,6 +183,7 @@ def _cut(bits: str, widths) -> str:
 
 
 def cmd_trace_mv2(args) -> int:
+    bitio.check_rounds(args.rounds)
     if (args.hex is None) == (args.bits is None):
         raise ValueError("give exactly one of --hex or --bits")
     if args.hex is not None:

@@ -11,7 +11,6 @@ Both policies follow one rule: chunk i takes word `selector % count` of its
 value's words in ascending order. The keyed selector is chunk i's draw
 (`prng.indexed_draws`); the canonical selector is -1, the last word: the
 lexicographically largest, which is the greedy highest-weight-first word
-whenever greedy does not strand a remainder, and always the word
 `gpn.canonical_encode` returns. One chunk at a time, that word is unranked
 from a table of word counts per position and value (`gpn._ranking`), built
 once per weight system, width and N: at most 2^N counts for each position

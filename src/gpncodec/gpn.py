@@ -206,9 +206,6 @@ def representation_count(value: int, width: int, ws: WeightSystem) -> int:
 
 # Lowest positions an unrank finishes with one lookup: 2^12 words at most.
 _TAIL_BITS = 12
-# canonical_encode counts words only for values below 2^_COUNT_VALUE_BITS,
-# every chunk value a container carries: its count table grows with the value.
-_COUNT_VALUE_BITS = 16
 
 
 def _ordered_words(w: list[int], cap: int) -> tuple[list[str], list[int]]:
@@ -327,11 +324,9 @@ def canonical_encode(value: int, width: int, ws: WeightSystem) -> str:
     """The lexicographically largest representation of `value`: the last
     of its words in ascending order, which the canonical fma policy picks.
 
-    Greedy highest-weight-first, which finds that word whenever it does
-    not strand a remainder; when it strands, the word is unranked from a
-    count table instead, for values below 2^16 (the table grows with the
-    value; larger values raise ValueError). Raises NotRepresentableError
-    when no representation exists at this width.
+    Greedy highest-weight-first; for every `WeightSystem` that scan finds
+    that word whenever one exists (proof in the README, "Notes"). Raises
+    NotRepresentableError when no representation exists at this width.
     """
     if value < 0:
         raise ValueError(f"value must be nonnegative, got {value}")
@@ -349,18 +344,10 @@ def canonical_encode(value: int, width: int, ws: WeightSystem) -> str:
             remaining -= w[k - 1]
         else:
             bits.append("0")
-    if remaining == 0:
-        return "".join(bits)
-    if value >> _COUNT_VALUE_BITS:
-        raise ValueError(
-            f"value {value} strands the greedy scan and is above the counting "
-            f"limit 2^{_COUNT_VALUE_BITS}")
-    ranking = _ranking(ws, width, (1 << value.bit_length()) - 1)
-    count = ranking.count(value)
-    if not count:
+    if remaining:
         raise NotRepresentableError(
             f"value {value} is a forbidden combination at width {width}")
-    return ranking.unrank(value, count - 1)
+    return "".join(bits)
 
 
 def combo_rank(word: str) -> int:

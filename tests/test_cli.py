@@ -80,6 +80,13 @@ class TestTraceCommand:
                            "--hex", "zz")
         assert code == 2 and "hex" in err
 
+    @pytest.mark.parametrize("rounds", ["0", "256"])
+    def test_rounds_follow_the_encode_rule(self, capsys, rounds):
+        code, out, err = run(capsys, "trace", "mv2", "--n", "2",
+                             "--rounds", rounds, "--bits", "0011")
+        assert code == 2 and out == ""
+        assert f"rounds must be in [1, 255], got {rounds}" in err
+
 
 class TestTableCommand:
     def test_fibonacci_width_four(self, capsys):
@@ -243,6 +250,18 @@ class TestEncodeDecode:
         assert code == 2
         assert "must be in [1, 255], got 256" in err
         assert not packed.exists()
+
+    def test_fma_has_no_flag_channel_to_split(self, tmp_path, capsys):
+        # fma writes one channel: a split would leave the core file whole
+        source = tmp_path / "src.bin"
+        source.write_bytes(b"x")
+        packed, flags = tmp_path / "packed.gpnc", tmp_path / "flags.gpnc"
+        code, _, err = run(capsys, "encode", "--algo", "fma", "--n", "4",
+                           "--in", str(source), "--out", str(packed),
+                           "--flags-out", str(flags))
+        assert code == 2
+        assert "--flags-out" in err
+        assert not packed.exists() and not flags.exists()
 
     def test_stdin_stdout(self, tmp_path, capsys, monkeypatch):
         import io

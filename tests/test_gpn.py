@@ -263,33 +263,29 @@ class TestCanonicalEncode:
             canonical_encode(2, 3, sparse)
 
     def test_stranded_value_above_counting_limit_raises(self):
-        # b_radix(3) strands on the digit 2; below 2^16 the words are
-        # counted, past it the count table is refused instead of built
+        # b_radix(3) strands on the digit 2: below and past 2^16 that is a
+        # missing word, found by the scan alone with no count table built
         sparse = WeightSystem.b_radix(3)
+        before = gpn._ranking.cache_info()
         with pytest.raises(NotRepresentableError):
             canonical_encode(3 ** 10 + 2, 12, sparse)
-        with pytest.raises(ValueError, match="counting limit"):
+        with pytest.raises(NotRepresentableError):
+            canonical_encode(3 ** 11 + 2, 40, sparse)
+        with pytest.raises(NotRepresentableError):
             canonical_encode(3 ** 40 + 2, 45, sparse)
+        assert gpn._ranking.cache_info() == before
 
 
 def oracle_canonical(value, width, ws):
-    """Greedy highest-weight-first, else the largest representation."""
-    bits, remaining = [], value
-    for wt in reversed(weights(ws, width)):
-        bits.append("1" if wt <= remaining else "0")
-        remaining -= wt if wt <= remaining else 0
-    if remaining == 0:
-        return "".join(bits)
-    candidates = representations(value, width, ws)
-    return max(candidates) if candidates else None
+    """The largest representation, or None when there is none."""
+    return max(representations(value, width, ws), default=None)
 
 
 @settings(max_examples=60)
 @given(st.sampled_from(SYSTEMS), st.integers(1, 10), st.data())
 def test_canonical_encode_matches_largest_representation_oracle(ws, width, data):
     top = max_value(ws, width)
-    values = data.draw(st.lists(st.integers(0, min(top + 1, 2 ** 16 - 1)),
-                                min_size=1, max_size=40))
+    values = data.draw(st.lists(st.integers(0, top + 1), min_size=1, max_size=40))
     for value in values:
         expected = oracle_canonical(value, width, ws)
         if expected is None:
@@ -297,9 +293,12 @@ def test_canonical_encode_matches_largest_representation_oracle(ws, width, data)
                 canonical_encode(value, width, ws)
         else:
             assert canonical_encode(value, width, ws) == expected
-    # the fallback's pick, last of the count order, is the largest word
-    ranking = gpn._ranking(ws, width, min(top, 2 ** 16 - 1))
+    # the canonical fma pick, last of the count order, is the largest word
+    limit = 2 ** 16 - 1
+    ranking = gpn._ranking(ws, width, min(top, limit))
     for value in values:
+        if value > limit:
+            continue
         reps = representations(value, width, ws) if value <= top else set()
         assert ranking.count(value) == len(reps)
         if reps:
