@@ -14,6 +14,117 @@ round 2  core : 0 1 0 0
          flag : 10 10 10 10
 """
 
+CLONE_PRETTY = """\
+clone codebook, width 3, seed 5
+  000 -> 0  class 1
+  001 -> 10  class 2
+  010 -> 011  class 3
+  011 -> 01  class 2
+  100 -> 000  class 3
+  101 -> 010  class 3
+  110 -> 001  class 3
+  111 -> 00  class 2
+"""
+
+B3_TABLE = """\
+row\tword5\tvalue5\tword4\tvalue4\tword3\tvalue3\tword2\tvalue2\tword1\tvalue1
+1\t00000\t0\t0000\t0\t000\t0\t00\t0\t0\t0
+2\t00001\t1\t0001\t1\t001\t1\t01\t1\t1\t1
+3\t00010\t3\t0010\t3\t010\t3\t10\t3\t\t
+4\t00011\t4\t0011\t4\t011\t4\t11\t4\t\t
+5\t00100\t9\t0100\t9\t100\t9\t\t\t\t
+6\t00101\t10\t0101\t10\t101\t10\t\t\t\t
+7\t00110\t12\t0110\t12\t110\t12\t\t\t\t
+8\t00111\t13\t0111\t13\t111\t13\t\t\t\t
+9\t01000\t27\t1000\t27\t\t\t\t\t\t
+10\t01001\t28\t1001\t28\t\t\t\t\t\t
+11\t01010\t30\t1010\t30\t\t\t\t\t\t
+12\t01011\t31\t1011\t31\t\t\t\t\t\t
+13\t01100\t36\t1100\t36\t\t\t\t\t\t
+14\t01101\t37\t1101\t37\t\t\t\t\t\t
+15\t01110\t39\t1110\t39\t\t\t\t\t\t
+16\t01111\t40\t1111\t40\t\t\t\t\t\t
+17\t10000\t81\t\t\t\t\t\t\t\t
+18\t10001\t82\t\t\t\t\t\t\t\t
+19\t10010\t84\t\t\t\t\t\t\t\t
+20\t10011\t85\t\t\t\t\t\t\t\t
+21\t10100\t90\t\t\t\t\t\t\t\t
+22\t10101\t91\t\t\t\t\t\t\t\t
+23\t10110\t93\t\t\t\t\t\t\t\t
+24\t10111\t94\t\t\t\t\t\t\t\t
+25\t11000\t108\t\t\t\t\t\t\t\t
+26\t11001\t109\t\t\t\t\t\t\t\t
+27\t11010\t111\t\t\t\t\t\t\t\t
+28\t11011\t112\t\t\t\t\t\t\t\t
+29\t11100\t117\t\t\t\t\t\t\t\t
+30\t11101\t118\t\t\t\t\t\t\t\t
+31\t11110\t120\t\t\t\t\t\t\t\t
+32\t11111\t121\t\t\t\t\t\t\t\t
+"""
+
+FIBONACCI_PRETTY = """\
+fibonacci words and values, widths 4..1
+  0000 = 0   000 = 0   00 = 0   0 = 0
+  0001 = 1   001 = 1   01 = 1   1 = 1
+  0010 = 1   010 = 1   10 = 1
+  0011 = 2   011 = 2   11 = 2
+  0100 = 2   100 = 2
+  0101 = 3   101 = 3
+  0110 = 3   110 = 3
+  0111 = 4   111 = 4
+  1000 = 3
+  1001 = 4
+  1010 = 4
+  1011 = 5
+  1100 = 5
+  1101 = 6
+  1110 = 6
+  1111 = 7
+"""
+
+PARTITIONS_PRETTY = """\
+N = 2
+  1+1 = 1  <- max
+N = 3
+  2+1 = 2  <- max
+  1+1+1 = 1
+N = 4
+  3+1 = 3
+  2+2 = 4  <- max
+  2+1+1 = 2
+  1+1+1+1 = 1
+N = 5
+  4+1 = 4
+  3+2 = 6  <- max
+  3+1+1 = 3
+  2+2+1 = 4
+  2+1+1+1 = 2
+  1+1+1+1+1 = 1
+N = 6
+  5+1 = 5
+  4+2 = 8
+  3+3 = 9  <- max
+  4+1+1 = 4
+  3+2+1 = 6
+  2+2+2 = 8
+  3+1+1+1 = 3
+  2+2+1+1 = 4
+  2+1+1+1+1 = 2
+  1+1+1+1+1+1 = 1
+"""
+
+KEYED_TRACE = """\
+round 0  input: 000 011 111 010 010 111 000 011
+round 1  core : 11 0 10 000 000 10 11 0
+         flag : 10 100 10 1 1 10 10 100
+round 2  core : 1 001 11 01 0 11
+         flag : 100 1 10 10 100 10
+round 3  core : 001 10 000 1
+         flag : 1 10 1 100
+round 4  core : 01 001 01
+         flag : 10 1 10
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -142,6 +253,25 @@ class TestAnalyzeCommand:
                            "--format", "pretty")
         assert code == 0
         assert "3+3 = 9  <- max" in out
+
+
+class TestGoldens:
+    """Byte-exact output of the inspection tables in both formats."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("codebook", "--algo", "clone", "--n", "3", "--mults", "1,3,4",
+          "--seed", "5", "--format", "pretty"), CLONE_PRETTY),
+        (("table", "gpn", "--system", "b3", "--width", "5"), B3_TABLE),
+        (("table", "gpn", "--width", "4", "--format", "pretty"), FIBONACCI_PRETTY),
+        (("analyze", "partitions", "--max", "6", "--format", "pretty"),
+         PARTITIONS_PRETTY),
+        # keyed, and the class widths differ from symbol to symbol
+        (("trace", "mv2", "--n", "3", "--rounds", "4", "--seed", "9",
+          "--hex", "0fa5c3"), KEYED_TRACE),
+    ], ids=["codebook-clone-pretty", "table-b3", "table-fibonacci-pretty",
+            "partitions-pretty", "trace-keyed"])
+    def test_exact_output(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
 
 class TestEncodeDecode:
