@@ -64,6 +64,11 @@ def pack_bits(bits: str) -> bytes:
     """Pack a bit string MSB-first, zero-padding the final byte."""
     if not bits:
         return b""
+    # one fast pass for what int(_, 2) reads leniently: non-ASCII digits,
+    # "_", blanks and signs at either end, a "0b" prefix
+    if (not bits.isascii() or "_" in bits or bits[0] not in "01"
+            or bits[-1] not in "01" or bits[1:2] in ("b", "B")):
+        raise ValueError("input is not a clean bit string")
     nbytes = (len(bits) + 7) // 8
     return int(bits.ljust(nbytes * 8, "0"), 2).to_bytes(nbytes, "big")
 
@@ -76,6 +81,8 @@ def unpack_bits(data: bytes, bit_length: int | None = None) -> str:
     bits = "".join(map(_BYTE_BITS.__getitem__, data))
     if bit_length is None:
         return bits
+    if bit_length < 0:
+        raise ValueError(f"bit length must be nonnegative, got {bit_length}")
     if bit_length > len(bits):
         raise LengthOverflowError(
             f"declared {bit_length} bits, buffer holds {len(bits)}")

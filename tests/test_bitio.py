@@ -77,6 +77,17 @@ class TestBitOrder:
     def test_pack_unpack_roundtrip(self, bits):
         assert unpack_bits(pack_bits(bits), len(bits)) == bits
 
+    @pytest.mark.parametrize(
+        "bits", ["0b1", "0B1", " 1", "1_01", "+1", "1111111 ", "\u0661"])
+    def test_writer_rejects_what_int_reads_leniently(self, bits):
+        # int(_, 2) reads each of these, "0b1" as 1 and so as the byte b" "
+        with pytest.raises(ValueError, match="input is not a clean bit string"):
+            pack_bits(bits)
+
+    def test_reader_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            unpack_bits(b"\xff", -1)
+
 
 class TestContainerGolden:
     def test_serializes_to_frozen_bytes(self):
@@ -158,6 +169,14 @@ class TestWriteValidation:
         meta = ContainerMeta(algorithm="fma", n=2, m=3)
         with pytest.raises(ValueError):
             write_container(meta, ["1"], "0")
+
+    @pytest.mark.parametrize("flags, payload", [(["0b1"], "0"), (["1"], "0b1")])
+    def test_rejects_lenient_bit_strings(self, flags, payload):
+        # a "0b1" flag section would otherwise read back as "001"
+        meta = ContainerMeta(algorithm="mv2", n=2, rounds=1,
+                             round_input_lengths=(2,))
+        with pytest.raises(ValueError, match="input is not a clean bit string"):
+            write_container(meta, flags, payload)
 
     def test_rejects_unknown_algorithm(self):
         meta = ContainerMeta(algorithm="zip", n=2, rounds=1,

@@ -233,6 +233,13 @@ class TestTableCommand:
                            "--width", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("width", ["0", "17", "60"])
+    def test_width_is_bounded(self, capsys, width):
+        # 2^width rows: width 60 would never finish
+        code, out, err = run(capsys, "table", "gpn", "--width", width)
+        assert (code, out) == (2, "")
+        assert f"--width must be in [1, 16], got {width}" in err
+
 
 class TestAnalyzeCommand:
     def test_partition_products(self, capsys):
@@ -253,6 +260,13 @@ class TestAnalyzeCommand:
                            "--format", "pretty")
         assert code == 0
         assert "3+3 = 9  <- max" in out
+
+    @pytest.mark.parametrize("n_max", ["0", "41", "1000000"])
+    def test_max_is_bounded(self, capsys, n_max):
+        # the table holds every partition up to --max in memory
+        code, out, err = run(capsys, "analyze", "partitions", "--max", n_max)
+        assert (code, out) == (2, "")
+        assert f"--max must be in [1, 40], got {n_max}" in err
 
 
 class TestGoldens:
