@@ -8,6 +8,7 @@ stderr. ``-`` stands for stdin/stdout in file positions.
 
 import argparse
 import sys
+from itertools import accumulate
 
 from . import bitio, codec, compositions, gpn, multichannel
 from .errors import GpnError
@@ -111,7 +112,8 @@ def _check_bound(name: str, value: int, top: int) -> None:
 
 def _cut(bits: str, widths) -> str:
     """`bits` cut into consecutive pieces of the given widths, space-joined."""
-    return " ".join(multichannel._cut(bits, 0, widths)[0])
+    cuts = list(accumulate(widths, initial=0))
+    return " ".join(map(bits.__getitem__, map(slice, cuts, cuts[1:])))
 
 
 def cmd_codebook(args) -> int:

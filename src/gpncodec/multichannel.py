@@ -28,9 +28,11 @@ uniquely decodable forward by splitting before each '1'.
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import islice
+from operator import getitem
 
 from .bitio import MAX_SYMBOL_WIDTH
 from .errors import (
@@ -75,6 +77,9 @@ def flag_decode(bits: str, n: int) -> list[int]:
         raise MalformedFlagError("flag stream must start with '1'")
     classes = []
     for zeros in runs[1:]:
+        if zeros.strip("0"):
+            raise MalformedFlagError(
+                f"flag codeword {'1' + zeros!r} is not a clean bit string")
         if len(zeros) > n:
             raise MalformedFlagError(
                 f"flag codeword has {len(zeros)} trailing zeros, max {n}")
@@ -95,10 +100,11 @@ class Codebook:
     The grouped tables cover every sequence of g symbols, 2^(g*N) entries,
     and are built the first time a round of that direction and g runs on
     this codebook: for encode, key -> core and key -> flags, where a key is
-    g symbols concatenated; for decode, (flag group, core group) -> symbols
-    and flag group -> core width. Decode reads the codewords outside whole
-    groups through the run tables, one entry per class: flag run (the
-    zeros after a '1') -> class and flag run -> core width.
+    g symbols concatenated. Decode cuts each window's core with one
+    `struct.Struct` built from per-key width tokens such as "3s", so its
+    tables map a key to its token and to {core bytes: symbols}. A key is a
+    flag run (the zeros after a '1', one per class) or, when g >= 2, a
+    group of g flag codewords, which starts with '1' where a run does not.
     """
 
     symbol_width: int
@@ -120,11 +126,15 @@ class Codebook:
                 for sym, (code, k) in self.encode_map.items()}
 
     @cached_property
-    def _run_tables(self) -> tuple[dict[str, int], dict[str, int]]:
-        # flag run (the zeros after a '1') -> class and -> core width
-        n = self.symbol_width
-        return ({"0" * (n - k): k for k in self.class_width},
-                {"0" * (n - k): w for k, w in self.class_width.items()})
+    def _run_tables(self) -> tuple[dict[str, str], dict[str, dict[bytes, str]]]:
+        # flag run (the zeros after a '1') -> core width token and
+        # -> {core code: symbol}; a class without codes has an empty dict
+        run_of = {k: "0" * (self.symbol_width - k) for k in self.class_width}
+        symbols_of = {run: {} for run in run_of.values()}
+        for sym, (code, k) in self.encode_map.items():
+            symbols_of[run_of[k]][code.encode("ascii")] = sym
+        return ({run_of[k]: f"{w}s" for k, w in self.class_width.items()},
+                symbols_of)
 
     @cached_property
     def _group_tables(self) -> dict:
@@ -150,14 +160,16 @@ class Codebook:
         return tables
 
     def _decode_tables(self, g: int):
-        """((flag group, core group) -> symbols, flag group -> core width,
-        flag group finder) for groups of g codewords."""
+        """(key -> width token, key -> {core bytes: symbols}, flag group
+        finder), where a key is a flag run or a group of g flag codewords."""
         tables = self._group_tables.get(("decode", g))
         if tables is None:
-            rows = self._groups(g)
+            token_of, symbols_of = map(dict, self._run_tables)
             # a group holding a class this book lacks misses both tables
-            tables = ({(f, c): s for s, c, f in rows},
-                      {f: len(c) for _, c, f in rows},
+            for s, c, f in self._groups(g):
+                token_of[f] = f"{len(c)}s"
+                symbols_of.setdefault(f, {})[c.encode("ascii")] = s
+            tables = (token_of, symbols_of,
                       re.compile(f"(?:10{{0,{self.symbol_width}}}){{{g}}}").findall)
             self._group_tables["decode", g] = tables
         return tables
@@ -392,26 +404,36 @@ def _decode_symbols(core: str, flags: str, cb: Codebook) -> str:
     return "".join(symbols)
 
 
-def _cut(core: str, pos: int, widths) -> tuple:
-    """(core slices of `widths` from `pos`, the position after them)."""
-    cuts = list(accumulate(widths, initial=pos))
-    return map(core.__getitem__, map(slice, cuts, islice(cuts, 1, None))), cuts[-1]
+def _cut_window(core: str, pos: int, keys: list[str], token_of: dict[str, str],
+                symbols_of: dict[str, dict[bytes, str]]) -> tuple[str, int]:
+    """(symbols of a window's `keys`, core position after their codes).
+
+    One `struct.Struct` of the keys' width tokens cuts the core from
+    `pos`. Only the window's slice is encoded, and the Struct, 32 bytes
+    per key, is dropped before the lookups; the caller's decode loop
+    holds none of this between windows.
+    """
+    cut = struct.Struct("".join(map(token_of.__getitem__, keys)))
+    end = pos + cut.size
+    codes = cut.unpack(core[pos:end].encode("ascii"))
+    del cut
+    return "".join(map(getitem, map(symbols_of.__getitem__, keys), codes)), end
 
 
 def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
     """Window decode: the one decode loop at every g.
 
     The flag stream is cut into windows of about _BLOCK_BITS bits that end
-    before a '1', so each holds whole codewords. A window decodes its
-    whole groups of g codewords through the grouped tables when g >= 2,
-    then the rest one flag run at a time. None when a window does not
-    parse, a lookup misses or the core length does not match; the caller
-    then reruns the round per symbol.
+    before a '1', so each holds whole codewords. A window's keys are its
+    whole groups of g codewords when g >= 2, then its flag runs;
+    `_cut_window` cuts the window's core with one struct unpack. None when
+    a window does not parse, a lookup misses, the core is too short or not
+    ASCII, or core bits are left over; the caller then reruns the round
+    per symbol.
     """
-    class_of, width_of = cb._run_tables
-    decode_map = cb.decode_map
+    token_of, symbols_of = cb._run_tables
     if g > 1:
-        symbols_of, group_width, find_groups = cb._decode_tables(g)
+        token_of, symbols_of, find_groups = cb._decode_tables(g)
     out = []
     start = pos = 0
     try:
@@ -419,23 +441,22 @@ def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
             end = flags.find("1", start + _BLOCK_BITS)
             if end < 0:
                 end = len(flags)
+            keys = []
             if g > 1:
-                groups = find_groups(flags, start, end)
-                matched = "".join(groups)
+                keys = find_groups(flags, start, end)
+                matched = "".join(keys)
                 if not flags.startswith(matched, start):
                     return None
                 start += len(matched)
-                codes, pos = _cut(core, pos, map(group_width.__getitem__, groups))
-                out.append("".join(map(symbols_of.__getitem__, zip(groups, codes))))
             runs = flags[start:end].split("1")
             if runs[0]:
                 return None
-            del runs[0]
-            codes, pos = _cut(core, pos, map(width_of.__getitem__, runs))
-            out.append("".join(map(decode_map.__getitem__,
-                                   zip(map(class_of.__getitem__, runs), codes))))
+            keys += islice(runs, 1, None)
+            del runs  # would hold this window's run strings into the next
+            symbols, pos = _cut_window(core, pos, keys, token_of, symbols_of)
+            out.append(symbols)
             start = end
-    except KeyError:
+    except (KeyError, struct.error, UnicodeEncodeError):
         return None
     return "".join(out) if pos == len(core) else None
 

@@ -7,14 +7,15 @@ here compares the two, on valid channels and on damaged ones.
 
 import random
 import tracemalloc
+from functools import cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpncodec import multichannel
-from gpncodec.errors import GpnError, MalformedFlagError
+from gpncodec.errors import CorruptStreamError, GpnError, MalformedFlagError
 from gpncodec.multichannel import (
     _KEY_BITS,
     _TABLE_SHARE,
@@ -54,6 +55,22 @@ def books(draw):
         return build_clone_codebook(n, mults, draw(st.integers(0, 2 ** 64 - 1)))
     seed = draw(st.integers(1, 2 ** 64 - 1)) if family == "mv2-keyed" else 0
     return build_mv2_codebook(draw(st.integers(2, 12)), seed)
+
+
+@cache
+def wide_book(family, n):
+    """The N=13..16 books that `books()` leaves out; rounds at these widths
+    use the run tables only (g <= 1), and mv2 N=16 cuts "16s" tokens."""
+    if family == "binomial":
+        return build_binomial_codebook(n)
+    if family == "clone":
+        mults = random_feasible_multiplicities(n, random.Random(n))
+        return build_clone_codebook(n, mults, 0x5EED + n)
+    return build_mv2_codebook(n, 0x9E3779B97F4A7C15 if family == "mv2-keyed" else 0)
+
+
+wide_books = st.builds(wide_book, st.sampled_from(["mv2", "mv2-keyed", "clone", "binomial"]),
+                       st.integers(13, 16))
 
 
 def per_symbol():
@@ -137,15 +154,35 @@ class TestGroupedMatchesPerSymbol:
         assert out == reference
         assert inverse_transform(out, cb) == bits
 
-    @settings(max_examples=150)
-    @given(books(), st.integers(0, 1), st.integers(0, 80), st.integers(0, 2 ** 32),
-           st.sampled_from([_MIN_WINDOW, 40, 100, 1 << 16]))
+    @settings(max_examples=200)
+    @given(st.one_of(books(), wide_books), st.integers(0, 1), st.integers(0, 80),
+           st.integers(0, 2 ** 32), st.sampled_from([_MIN_WINDOW, 40, 100, 1 << 16]))
     def test_window_kernel(self, cb, g, symbols, content_seed, block):
         bits = random_bits(random.Random(content_seed), cb.symbol_width * symbols)
         core, flags = _encode_symbols(bits, cb)
         with mock.patch.object(multichannel, "_BLOCK_BITS", block):
             assert _decode_groups(core, flags, cb, g) == bits
         assert _decode_symbols(core, flags, cb) == bits
+
+    def test_widest_token(self):
+        token_of, symbols_of = wide_book("mv2", 16)._run_tables
+        assert token_of[""] == "16s"
+        assert symbols_of[""] == {b"0" * 16: "1" * 15 + "0", b"0" * 15 + b"1": "1" * 16}
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32), st.sampled_from([24, 40]))
+    def test_binomial_width_zero_at_window_edges(self, n, content_seed, block):
+        # all-zero and all-one symbols (classes 0 and N) have empty codes;
+        # long runs of them start, end and fill whole windows
+        cb = build_binomial_codebook(n)
+        rng = random.Random(content_seed)
+        bits = "".join(rng.choice(["0" * n, "1" * n]) * rng.randint(1, 30)
+                       if rng.random() < 0.6 else random_bits(rng, n)
+                       for _ in range(40))
+        core, flags = _encode_symbols(bits, cb)
+        with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            for g in range(_KEY_BITS // n + 1):
+                assert _decode_groups(core, flags, cb, g) == bits
 
     @pytest.mark.parametrize("cb", [build_mv2_codebook(2), build_binomial_codebook(1)])
     def test_empty_input(self, cb):
@@ -201,6 +238,61 @@ class TestErrorParity:
         with mock.patch.object(multichannel, "_group_size", lambda n, s: g):
             assert outcome(decode_round, core, flags, cb) == (
                 MalformedFlagError, "flag stream must start with '1'")
+
+    @staticmethod
+    def channels(cb, data, content_seed):
+        """A g that a round could use and valid channels of up to 300 symbols."""
+        n = cb.symbol_width
+        g = data.draw(st.integers(0, _KEY_BITS // n), label="g")
+        bits = random_bits(random.Random(content_seed),
+                           n * data.draw(st.integers(0, 300), label="symbols"))
+        return g, *_encode_symbols(bits, cb)
+
+    def assert_reference_error(self, core, flags, cb, g, block=1 << 16):
+        """The window path misses and the round raises the reference error;
+        returns that error's class."""
+        expected = outcome(_decode_symbols, core, flags, cb)
+        assert isinstance(expected, tuple)
+        with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            assert _decode_groups(core, flags, cb, g) is None
+            with mock.patch.object(multichannel, "_group_size", lambda n, s: g):
+                assert outcome(decode_round, core, flags, cb) == expected
+        return expected[0]
+
+    @settings(max_examples=100)
+    @given(books(), st.data(), st.integers(0, 2 ** 32), st.sampled_from(["2", "é"]))
+    def test_non_bit_core_character(self, cb, data, content_seed, char):
+        g, core, flags = self.channels(cb, data, content_seed)
+        i = data.draw(st.integers(0, len(core)), label="at")
+        core = core[:i] + char + core[i + 1:]
+        self.assert_reference_error(core, flags, cb, g)
+
+    @settings(max_examples=100)
+    @given(books(), st.data(), st.integers(0, 2 ** 32),
+           st.sampled_from(["2", "a", " ", "é"]))
+    def test_non_bit_flag_character(self, cb, data, content_seed, char):
+        g, core, flags = self.channels(cb, data, content_seed)
+        i = data.draw(st.integers(0, len(flags)), label="at")
+        flags = flags[:i] + char + flags[i + 1:]
+        assert self.assert_reference_error(core, flags, cb, g) is MalformedFlagError
+
+    @settings(max_examples=100)
+    @given(books(), st.data(), st.integers(0, 2 ** 32), st.integers(1, 40),
+           st.booleans(), st.sampled_from([_MIN_WINDOW, 40, 1 << 16]))
+    def test_short_and_long_core(self, cb, data, content_seed, by, short, block):
+        # a short core fails the last window's unpack, a long one the end check
+        g, core, flags = self.channels(cb, data, content_seed)
+        if short:
+            assume(len(core) >= by)
+            core = core[:-by]
+        else:
+            core += random_bits(random.Random(by), by)
+        assert self.assert_reference_error(core, flags, cb, g, block) is CorruptStreamError
+
+    def test_non_bit_flag_character_example(self):
+        with pytest.raises(MalformedFlagError,
+                           match="flag codeword '12' is not a clean bit string"):
+            decode_round("0", "12", build_mv2_codebook(2))
 
     def test_non_bit_character(self):
         cb = build_mv2_codebook(2)

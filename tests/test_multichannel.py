@@ -57,6 +57,11 @@ class TestFlags:
         with pytest.raises(MalformedFlagError):
             flag_decode("1000", 2)
 
+    @pytest.mark.parametrize("bits", ["1a1bb", "10 ", "1" + "0" * 40 + "2", "1é"])
+    def test_decode_rejects_non_bit_characters(self, bits):
+        with pytest.raises(MalformedFlagError, match="is not a clean bit string"):
+            flag_decode(bits, 3)
+
     def test_encode_rejects_out_of_range_class(self):
         with pytest.raises(ValueError):
             flag_encode([3], 2)
