@@ -73,12 +73,9 @@ def pack_bits(bits: str) -> bytes:
     return int(bits.ljust(nbytes * 8, "0"), 2).to_bytes(nbytes, "big")
 
 
-_BYTE_BITS = [format(i, "08b") for i in range(256)]
-
-
 def unpack_bits(data: bytes, bit_length: int | None = None) -> str:
     """Inverse of pack_bits; `bit_length` trims the padding."""
-    bits = "".join(map(_BYTE_BITS.__getitem__, data))
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
     if bit_length is None:
         return bits
     if bit_length < 0:

@@ -39,7 +39,8 @@ def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
     meta = bitio.ContainerMeta(
         algorithm=algorithm, n=n, seed=seed, rounds=out.rounds_executed,
         round_input_lengths=tuple(out.input_bit_lengths),
-        multiplicities=tuple(multiplicities) if algorithm == "clone" else ())
+        multiplicities=(tuple(coder.multiplicities.values())
+                        if algorithm == "clone" else ()))
     return meta, out.flags, out.core
 
 

@@ -17,20 +17,21 @@ once per weight system, width and N: at most 2^N counts for each position
 whose weight is below 2^N, however many words there are. N and M are held
 to the container's limits, 1-16 and 1-255, which bounds that table.
 
-Whole-stream calls look chunks and words up in tables when the call is
-long enough to pay for them, by the rule the core+flag rounds use
-(`multichannel._table_pays`): keys at most 12 bits wide and at least four
-lookups per table entry. The chunk table must also hold at most four words
-per chunk encoded, since slowly growing weights give a value very many
-words. Encode maps each N-bit chunk string to its sorted words; decode
-maps each M-bit word of value below 2^N to its chunk string.
-Both tables come from one ordered pass over the words of value below 2^N
-(`gpn._words_by_value`). The per-chunk functions stay the reference path:
-short calls use them, and any table miss reruns the whole call through
-them, so every output bit and every error is the same on both paths.
+Whole-stream calls cut the stream into chunks or words with the key
+cutter of the core+flag rounds (`multichannel._pieces`), a block of
+characters at a time, and look them up in tables when the call is long
+enough to pay for them, by the rounds' rule (`multichannel._table_pays`):
+keys at most 12 bits wide and at least four lookups per table entry. The
+chunk table must also hold at most four words per chunk encoded, since
+slowly growing weights give a value very many words. Encode maps each
+N-bit chunk string to its sorted words; decode maps each M-bit word of
+value below 2^N to its chunk string. Both tables come from one ordered
+pass over the words of value below 2^N (`gpn._words_by_value`). The
+per-chunk functions stay the reference path: short calls use them, and
+any table miss reruns the whole call through them, so every output bit
+and every error is the same on both paths.
 """
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +49,7 @@ from .gpn import (
     evaluate,
     representation_count,
 )
-from .multichannel import _TABLE_SHARE, _table_pays
+from .multichannel import _TABLE_SHARE, _pieces, _table_pays
 from .prng import indexed_draws
 
 __all__ = [
@@ -64,10 +65,6 @@ __all__ = [
 ]
 
 FIBONACCI = WeightSystem.fibonacci()
-
-# Chunks or words split per block on the table paths; bounds the key
-# strings alive at once.
-_BLOCK_KEYS = 1 << 10
 
 
 def min_width(n: int, ws: WeightSystem = FIBONACCI) -> int:
@@ -149,15 +146,6 @@ def _chunk_table_pays(cfg: FmaConfig, chunks: int) -> bool:
     return sum(map(ranking.count, range(1 << n))) <= _TABLE_SHARE * chunks
 
 
-def _pieces(text: str, width: int):
-    """Consecutive width-char pieces of `text`, whose length is a multiple
-    of width, in lists of at most _BLOCK_KEYS."""
-    split = re.compile(f"(?s).{{{width}}}").findall
-    step = _BLOCK_KEYS * width
-    for lo in range(0, len(text), step):
-        yield split(text, lo, lo + step)
-
-
 def _selectors(cfg: FmaConfig, first: int, count: int):
     """Word selectors of `count` consecutive chunks from chunk index `first`:
     each chunk takes word `selector % count` of its value's sorted words,
@@ -173,7 +161,7 @@ def _encode_table(padded: str, cfg: FmaConfig) -> str:
     table = _chunk_table(cfg.weight_system, cfg.target_width, cfg.chunk_width)
     parts = []
     first = 0
-    for keys in _pieces(padded, cfg.chunk_width):
+    for keys in _pieces(padded, cfg.chunk_width, len(padded)):
         parts.append("".join([reps[sel % len(reps)] for reps, sel in zip(
             map(table.__getitem__, keys), _selectors(cfg, first, len(keys)))]))
         first += len(keys)
@@ -229,7 +217,7 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
         if padded.strip("01"):  # int(chunk, 2) would read "_" and blanks
             raise ValueError("input is not a clean bit string")
         words = []
-        for keys in _pieces(padded, n):
+        for keys in _pieces(padded, n, len(padded)):
             words += _encode_values([int(key, 2) for key in keys], cfg, len(words))
         payload = "".join(words)
     return FmaStream(payload=payload, original_bit_length=len(bits))
@@ -247,7 +235,7 @@ def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:
         table = _word_table(cfg.weight_system, m, n)
         try:
             bits = "".join(["".join(map(table.__getitem__, words))
-                            for words in _pieces(payload, m)])
+                            for words in _pieces(payload, m, len(payload))])
         except KeyError:
             pass  # the per-chunk path below raises the matching error
     if bits is None:

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
-from operator import getitem
+from operator import getitem, index, itemgetter
 
 from .bitio import MAX_SYMBOL_WIDTH
 from .errors import (
@@ -51,9 +51,12 @@ from .prng import keyed_shuffle
 # building the table costs a small share of the round.
 _KEY_BITS = 12
 _TABLE_SHARE = 4
-# Input bits (encode) or flag bits (decode) handled per block; bounds the
-# key strings, and the per-symbol decode lists, alive at once.
+# Characters handled per block: input bits (round and fma encode), flag
+# bits (round decode) or payload bits (fma decode); bounds the key
+# strings, and the per-symbol decode lists, alive at once.
 _BLOCK_BITS = 1 << 16
+# the two halves of a table entry
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def flag_codeword(k: int, n: int) -> str:
@@ -96,15 +99,15 @@ class Codebook:
     Treat all mappings as read-only; the derived lookup tables are built
     once on first use.
 
-    Rounds on long inputs look symbols up g at a time (see `_group_size`).
-    The grouped tables cover every sequence of g symbols, 2^(g*N) entries,
-    and are built the first time a round of that direction and g runs on
-    this codebook: for encode, key -> core and key -> flags, where a key is
-    g symbols concatenated. Decode cuts each window's core with one
-    `struct.Struct` built from per-key width tokens such as "3s", so its
-    tables map a key to its token and to {core bytes: symbols}. A key is a
-    flag run (the zeros after a '1', one per class) or, when g >= 2, a
-    group of g flag codewords, which starts with '1' where a run does not.
+    A round reads the bijection through one table per direction and g,
+    the number of symbols it looks up at a time (see `_group_size`).
+    `_encode_table(g)` maps every sequence of g symbols to its core and
+    flags; at g = 1 these are the per-symbol pairs of the reference path.
+    `_decode_table(g)` maps a flag key to a core width token such as "3s"
+    and to {core bytes: symbols}, so decode can cut each window's core
+    with one `struct.Struct`. A key is a flag run (the zeros after a '1',
+    one per class) or, when g >= 2, a group of g flag codewords, which
+    starts with '1' where a run does not.
     """
 
     symbol_width: int
@@ -118,61 +121,44 @@ class Codebook:
         return {(k, code): sym for sym, (code, k) in self.encode_map.items()}
 
     @cached_property
-    def _symbol_pairs(self) -> dict[str, tuple[str, str]]:
-        # per-symbol (code, flagword) pairs for the round hot path
-        flagwords = {k: flag_codeword(k, self.symbol_width)
-                     for k in self.class_width}
-        return {sym: (code, flagwords[k])
-                for sym, (code, k) in self.encode_map.items()}
-
-    @cached_property
-    def _run_tables(self) -> tuple[dict[str, str], dict[str, dict[bytes, str]]]:
-        # flag run (the zeros after a '1') -> core width token and
-        # -> {core code: symbol}; a class without codes has an empty dict
-        run_of = {k: "0" * (self.symbol_width - k) for k in self.class_width}
-        symbols_of = {run: {} for run in run_of.values()}
-        for sym, (code, k) in self.encode_map.items():
-            symbols_of[run_of[k]][code.encode("ascii")] = sym
-        return ({run_of[k]: f"{w}s" for k, w in self.class_width.items()},
-                symbols_of)
-
-    @cached_property
-    def _group_tables(self) -> dict:
-        # (direction, g) -> tables, filled by _encode_tables/_decode_tables
+    def _tables(self) -> dict:
+        # ("encode" or "decode", g) -> table
         return {}
 
-    def _groups(self, g: int) -> list[tuple[str, str, str]]:
-        """(symbols, core, flags) of every sequence of g symbols."""
-        rows = [("", "", "")]
-        for _ in range(g):
-            rows = [(s + sym, c + code, f + flag) for s, c, f in rows
-                    for sym, (code, flag) in self._symbol_pairs.items()]
-        return rows
+    def _encode_table(self, g: int) -> dict[str, tuple[str, str]]:
+        """g symbols -> (core, flags), for every sequence of g symbols."""
+        table = self._tables.get(("encode", g))
+        if table is None:
+            if g == 1:
+                flag = {k: flag_codeword(k, self.symbol_width)
+                        for k in self.class_width}
+                table = {sym: (code, flag[k])
+                         for sym, (code, k) in self.encode_map.items()}
+            else:
+                one, table = self._encode_table(1).items(), {"": ("", "")}
+                for _ in range(g):
+                    table = {s + t: (c + d, f + e) for s, (c, f) in table.items()
+                             for t, (d, e) in one}
+            self._tables["encode", g] = table
+        return table
 
-    def _encode_tables(self, g: int):
-        """(key -> core, key -> flags, key splitter) for g-symbol keys."""
-        tables = self._group_tables.get(("encode", g))
-        if tables is None:
-            rows = self._groups(g)
-            tables = ({s: c for s, c, _ in rows}, {s: f for s, _, f in rows},
-                      re.compile(f"(?s).{{{g * self.symbol_width}}}").findall)
-            self._group_tables["encode", g] = tables
-        return tables
-
-    def _decode_tables(self, g: int):
-        """(key -> width token, key -> {core bytes: symbols}, flag group
-        finder), where a key is a flag run or a group of g flag codewords."""
-        tables = self._group_tables.get(("decode", g))
-        if tables is None:
-            token_of, symbols_of = map(dict, self._run_tables)
-            # a group holding a class this book lacks misses both tables
-            for s, c, f in self._groups(g):
-                token_of[f] = f"{len(c)}s"
-                symbols_of.setdefault(f, {})[c.encode("ascii")] = s
-            tables = (token_of, symbols_of,
-                      re.compile(f"(?:10{{0,{self.symbol_width}}}){{{g}}}").findall)
-            self._group_tables["decode", g] = tables
-        return tables
+    def _decode_table(self, g: int) -> dict[str, tuple[str, dict[bytes, str]]]:
+        """Flag key -> (core width token, {core bytes: symbols}): every flag
+        run, and every group of g flag codewords when g >= 2. A class
+        without codes has an empty dict; a group holding one is absent."""
+        table = self._tables.get(("decode", g))
+        if table is None:
+            run = {k: "0" * (self.symbol_width - k) for k in self.class_width}
+            table = {run[k]: (f"{w}s", {}) for k, w in self.class_width.items()}
+            for sym, (code, k) in self.encode_map.items():
+                table[run[k]][1][code.encode("ascii")] = sym
+            if g > 1:
+                for s, (c, f) in self._encode_table(g).items():
+                    if f not in table:
+                        table[f] = (f"{len(c)}s", {})
+                    table[f][1][c.encode("ascii")] = s
+            self._tables["decode", g] = table
+        return table
 
 
 def _check_n(n: int, minimum: int) -> None:
@@ -235,13 +221,18 @@ def build_mv2_codebook(n: int, seed: int = 0) -> Codebook:
 def build_clone_codebook(n: int, multiplicities, seed: int = 0) -> Codebook:
     """Clone codebook with `multiplicities[k-1]` codes of each length k.
 
-    Feasibility: the multiplicities must sum to 2^n and no class may hold
-    more than 2^k codes. Class k takes its lexicographically first
-    multiplicities[k-1] words; the symbols in ascending order, shuffled
-    when seed != 0, are paired with those codes by position.
+    Feasibility: the multiplicities must be integers that sum to 2^n, and
+    no class may hold more than 2^k codes. Class k takes its
+    lexicographically first multiplicities[k-1] words; the symbols in
+    ascending order, shuffled when seed != 0, are paired with those codes
+    by position.
     """
     _check_n(n, 1)
-    mults = [int(m) for m in multiplicities]
+    try:
+        mults = [index(m) for m in multiplicities]
+    except TypeError:
+        raise InfeasibleMultiplicitiesError(
+            f"multiplicities must be integers, got {multiplicities!r}") from None
     if len(mults) != n:
         raise InfeasibleMultiplicitiesError(
             f"expected {n} multiplicities, got {len(mults)}")
@@ -323,10 +314,10 @@ def _table_pays(key_bits: int, keys: int) -> bool:
 
 def _group_size(n: int, symbols: int) -> int:
     """Symbols per table key for a round of `symbols` N-bit symbols: the
-    largest g whose g*N-bit table pays (`_table_pays`); 0 when even g = 1
-    does not."""
-    g = _KEY_BITS // n
-    while g and not _table_pays(g * n, symbols):
+    largest g whose g*N-bit table pays (`_table_pays`); 1 when none does,
+    since the g = 1 tables are the per-symbol pairs and runs."""
+    g = max(1, _KEY_BITS // n)
+    while g > 1 and not _table_pays(g * n, symbols):
         g -= 1
     return g
 
@@ -334,24 +325,33 @@ def _group_size(n: int, symbols: int) -> int:
 def _encode_symbols(bits: str, cb: Codebook) -> tuple[str, str]:
     """Per-symbol encode, the reference path; KeyError names a bad symbol."""
     n = cb.symbol_width
-    pairs = cb._symbol_pairs
+    pairs = cb._encode_table(1)
     encoded = [pairs[bits[i:i + n]] for i in range(0, len(bits), n)]
     return "".join(p[0] for p in encoded), "".join(p[1] for p in encoded)
 
 
+def _pieces(text: str, width: int, end: int):
+    """Consecutive width-character pieces of text[:end], where end is a
+    multiple of width, in lists of at most _BLOCK_BITS characters."""
+    split = re.compile(f"(?s).{{{width}}}").findall
+    step = _BLOCK_BITS - _BLOCK_BITS % width
+    for lo in range(0, end, step):
+        yield split(text, lo, min(lo + step, end))
+
+
 def _encode_groups(bits: str, cb: Codebook, g: int) -> tuple[str, str] | None:
-    """Table encode of whole g-symbol keys and the tail per symbol; None
-    on a table miss, which only a non-bit character causes."""
-    core_of, flags_of, split = cb._encode_tables(g)
+    """Table encode of whole g-symbol keys and the tail per symbol: the
+    one encode loop at every g. None on a table miss, which only a
+    non-bit character causes."""
+    table = cb._encode_table(g)
     key_bits = g * cb.symbol_width
     full = len(bits) - len(bits) % key_bits
-    step = _BLOCK_BITS - _BLOCK_BITS % key_bits
     cores, flags = [], []
     try:
-        for lo in range(0, full, step):
-            keys = split(bits, lo, min(lo + step, full))
-            cores.append("".join(map(core_of.__getitem__, keys)))
-            flags.append("".join(map(flags_of.__getitem__, keys)))
+        for keys in _pieces(bits, key_bits, full):
+            pairs = list(map(table.__getitem__, keys))
+            cores.append("".join(map(_first, pairs)))
+            flags.append("".join(map(_second, pairs)))
         tail = _encode_symbols(bits[full:], cb)
     except KeyError:
         return None
@@ -366,8 +366,7 @@ def encode_round(bits: str, cb: Codebook) -> RoundOutput:
     if len(bits) % n:
         raise BitAlignmentError(
             f"input length {len(bits)} is not a multiple of {n}")
-    g = _group_size(n, len(bits) // n)
-    channels = _encode_groups(bits, cb, g) if g else None
+    channels = _encode_groups(bits, cb, _group_size(n, len(bits) // n))
     if channels is None:
         try:
             channels = _encode_symbols(bits, cb)
@@ -404,8 +403,8 @@ def _decode_symbols(core: str, flags: str, cb: Codebook) -> str:
     return "".join(symbols)
 
 
-def _cut_window(core: str, pos: int, keys: list[str], token_of: dict[str, str],
-                symbols_of: dict[str, dict[bytes, str]]) -> tuple[str, int]:
+def _cut_window(core: str, pos: int, keys: list[str],
+                table: dict[str, tuple[str, dict[bytes, str]]]) -> tuple[str, int]:
     """(symbols of a window's `keys`, core position after their codes).
 
     One `struct.Struct` of the keys' width tokens cuts the core from
@@ -413,11 +412,12 @@ def _cut_window(core: str, pos: int, keys: list[str], token_of: dict[str, str],
     per key, is dropped before the lookups; the caller's decode loop
     holds none of this between windows.
     """
-    cut = struct.Struct("".join(map(token_of.__getitem__, keys)))
+    entries = list(map(table.__getitem__, keys))
+    cut = struct.Struct("".join(map(_first, entries)))
     end = pos + cut.size
     codes = cut.unpack(core[pos:end].encode("ascii"))
     del cut
-    return "".join(map(getitem, map(symbols_of.__getitem__, keys), codes)), end
+    return "".join(map(getitem, map(_second, entries), codes)), end
 
 
 def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
@@ -431,9 +431,9 @@ def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
     ASCII, or core bits are left over; the caller then reruns the round
     per symbol.
     """
-    token_of, symbols_of = cb._run_tables
+    table = cb._decode_table(g)
     if g > 1:
-        token_of, symbols_of, find_groups = cb._decode_tables(g)
+        find_groups = re.compile(f"(?:10{{0,{cb.symbol_width}}}){{{g}}}").findall
     out = []
     start = pos = 0
     try:
@@ -453,7 +453,7 @@ def _decode_groups(core: str, flags: str, cb: Codebook, g: int) -> str | None:
                 return None
             keys += islice(runs, 1, None)
             del runs  # would hold this window's run strings into the next
-            symbols, pos = _cut_window(core, pos, keys, token_of, symbols_of)
+            symbols, pos = _cut_window(core, pos, keys, table)
             out.append(symbols)
             start = end
     except (KeyError, struct.error, UnicodeEncodeError):

@@ -58,6 +58,8 @@ class TestBitOrder:
     def test_reader_rejects_overdeclared_length(self):
         with pytest.raises(LengthOverflowError):
             unpack_bits(b"\xff", 9)
+        with pytest.raises(LengthOverflowError):
+            unpack_bits(b"", 1)
 
     def test_writer_reader_roundtrip(self):
         rng = random.Random(7)
@@ -70,6 +72,7 @@ class TestBitOrder:
     def test_pack_golden(self):
         assert pack_bits("10110000") == b"\xb0"
         assert pack_bits("") == b""
+        assert unpack_bits(b"") == unpack_bits(b"", 0) == ""
         assert unpack_bits(b"\xb0") == "10110000"
         assert unpack_bits(b"\xb0", 4) == "1011"
 
@@ -87,6 +90,15 @@ class TestBitOrder:
     def test_reader_rejects_negative_length(self):
         with pytest.raises(ValueError, match="nonnegative"):
             unpack_bits(b"\xff", -1)
+
+    @given(st.binary(max_size=64), st.integers(0, 3), st.data())
+    def test_unpack_matches_per_byte_reference(self, data, zeros, draw):
+        # leading zero bytes must keep their eight bits each
+        data = bytes(zeros) + data
+        bits = "".join(format(byte, "08b") for byte in data)
+        assert unpack_bits(data) == bits
+        length = draw.draw(st.integers(0, len(bits)), label="bit_length")
+        assert unpack_bits(data, length) == bits[:length]
 
 
 class TestContainerGolden:
@@ -177,6 +189,27 @@ class TestWriteValidation:
                              round_input_lengths=(2,))
         with pytest.raises(ValueError, match="input is not a clean bit string"):
             write_container(meta, flags, payload)
+
+    @pytest.mark.parametrize("meta, message", [
+        (ContainerMeta(algorithm="mv2", n=2, seed=1 << 64, rounds=1,
+                       round_input_lengths=(2,)), "seed must fit in 64 bits"),
+        (ContainerMeta(algorithm="mv2", n=2, seed=-1, rounds=1,
+                       round_input_lengths=(2,)), "seed must fit in 64 bits"),
+        (ContainerMeta(algorithm="fma", n=2, m=3, policy="random"),
+         "unknown policy 'random'"),
+        (ContainerMeta(algorithm="fma", n=2, m=3, original_bit_length=-1),
+         "original bit length must be nonnegative"),
+        (ContainerMeta(algorithm="mv2", n=2, rounds=1, round_input_lengths=(-2,)),
+         "round lengths must be nonnegative"),
+        (ContainerMeta(algorithm="clone", n=2, rounds=1, round_input_lengths=(2,),
+                       multiplicities=(1, 1 << 32)), "multiplicities must fit in 32 bits"),
+        (ContainerMeta(algorithm="clone", n=2, rounds=1, round_input_lengths=(2,),
+                       multiplicities=(-1, 5)), "multiplicities must fit in 32 bits"),
+    ])
+    def test_rejects_fields_out_of_range(self, meta, message):
+        flags = [] if meta.algorithm == "fma" else ["1"]
+        with pytest.raises(ValueError, match=message):
+            write_container(meta, flags, "0")
 
     def test_rejects_unknown_algorithm(self):
         meta = ContainerMeta(algorithm="zip", n=2, rounds=1,

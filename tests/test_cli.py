@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gpncodec import codec
 from gpncodec.cli import main
 
 TABLE5 = "00\t0\n01\t00\n10\t11\n11\t1\n"
@@ -191,6 +192,11 @@ class TestTraceCommand:
                            "--hex", "zz")
         assert code == 2 and "hex" in err
 
+    def test_rejects_non_bit_characters(self, capsys):
+        code, out, err = run(capsys, "trace", "mv2", "--n", "2", "--bits", "0121")
+        assert code == 2 and out == ""
+        assert "--bits may contain only '0'/'1'" in err
+
     @pytest.mark.parametrize("rounds", ["0", "256"])
     def test_rounds_follow_the_encode_rule(self, capsys, rounds):
         code, out, err = run(capsys, "trace", "mv2", "--n", "2",
@@ -361,6 +367,32 @@ class TestEncodeDecode:
                          "--out", str(tmp_path / "z.bin"))
         assert code == 1
 
+    def test_flags_of_another_container_are_a_data_error(self, tmp_path, capsys):
+        files = {}
+        for seed in ("1", "2"):
+            source = tmp_path / f"src{seed}.bin"
+            source.write_bytes(b"same input, two keys")
+            files[seed] = tmp_path / f"core{seed}.gpnc", tmp_path / f"flags{seed}.gpnc"
+            code, _, err = run(capsys, "encode", "--algo", "mv2", "--n", "2",
+                               "--seed", seed, "--in", str(source),
+                               "--out", str(files[seed][0]),
+                               "--flags-out", str(files[seed][1]))
+            assert code == 0, err
+        code, _, err = run(capsys, "decode", "--in", str(files["1"][0]),
+                           "--flags-in", str(files["2"][1]),
+                           "--out", str(tmp_path / "out.bin"))
+        assert code == 1
+        assert "core and flag containers carry different metadata" in err
+
+    def test_partial_byte_output_is_a_data_error(self, tmp_path, capsys):
+        packed = tmp_path / "five.gpnc"
+        packed.write_bytes(codec.encode_to_container("10110", algorithm="mv2", n=2))
+        out = tmp_path / "out.bin"
+        code, _, err = run(capsys, "decode", "--in", str(packed), "--out", str(out))
+        assert code == 1
+        assert "decoded bit length 5 is not a whole number of bytes" in err
+        assert not out.exists()
+
     def test_corrupt_container_is_a_data_error(self, tmp_path, capsys):
         packed = tmp_path / "bad.gpnc"
         packed.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -441,3 +473,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["codebook", "--seed", "banana"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", [str(1 << 64), "0x1" + "0" * 16, "-1"])
+    def test_seed_beyond_64_bits_exits_two(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["codebook", f"--seed={seed}"])
+        assert exc.value.code == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mults", ["1,x,4", "1,3,", "1.5,3,4"])
+    def test_bad_mults_exit_two(self, capsys, mults):
+        with pytest.raises(SystemExit) as exc:
+            main(["codebook", "--algo", "clone", "--n", "3", "--mults", mults])
+        assert exc.value.code == 2
+        assert "are not a comma-separated integer list" in capsys.readouterr().err

@@ -60,7 +60,7 @@ def books(draw):
 @cache
 def wide_book(family, n):
     """The N=13..16 books that `books()` leaves out; rounds at these widths
-    use the run tables only (g <= 1), and mv2 N=16 cuts "16s" tokens."""
+    use the g = 1 tables only, and mv2 N=16 cuts "16s" tokens."""
     if family == "binomial":
         return build_binomial_codebook(n)
     if family == "clone":
@@ -75,7 +75,7 @@ wide_books = st.builds(wide_book, st.sampled_from(["mv2", "mv2-keyed", "clone", 
 
 def per_symbol():
     """Context in which every round takes the per-symbol path."""
-    return mock.patch.multiple(multichannel, _group_size=lambda n, symbols: 0,
+    return mock.patch.multiple(multichannel, _encode_groups=lambda *args: None,
                                _decode_groups=lambda *args: None)
 
 
@@ -103,16 +103,19 @@ class TestGroupSize:
         assert _group_size(2, _TABLE_SHARE << 12) == 6
         assert _group_size(2, (_TABLE_SHARE << 12) - 1) == 5
         assert _group_size(8, _TABLE_SHARE << 8) == 1
-        assert _group_size(8, (_TABLE_SHARE << 8) - 1) == 0
+        assert _group_size(8, (_TABLE_SHARE << 8) - 1) == 1
         assert _group_size(6, 1 << 30) == 2
-        assert _group_size(13, 1 << 30) == 0
-        assert _group_size(1, 0) == 0
+        assert _group_size(13, 1 << 30) == 1
+        assert _group_size(1, 0) == 1
 
     def test_keys_stay_within_limit(self):
+        # g = 1 (the per-symbol pairs and runs) at every width, even where
+        # one symbol is wider than _KEY_BITS
         for n in range(1, 17):
             g = _group_size(n, 1 << 40)
-            assert g * n <= _KEY_BITS
-            assert g == _KEY_BITS // n
+            assert g * n <= max(_KEY_BITS, n)
+            assert g == max(1, _KEY_BITS // n)
+            assert _group_size(n, 0) == 1
 
 
 class TestGroupedMatchesPerSymbol:
@@ -161,13 +164,13 @@ class TestGroupedMatchesPerSymbol:
         bits = random_bits(random.Random(content_seed), cb.symbol_width * symbols)
         core, flags = _encode_symbols(bits, cb)
         with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            assert _encode_groups(bits, cb, 1) == (core, flags)
             assert _decode_groups(core, flags, cb, g) == bits
         assert _decode_symbols(core, flags, cb) == bits
 
     def test_widest_token(self):
-        token_of, symbols_of = wide_book("mv2", 16)._run_tables
-        assert token_of[""] == "16s"
-        assert symbols_of[""] == {b"0" * 16: "1" * 15 + "0", b"0" * 15 + b"1": "1" * 16}
+        assert wide_book("mv2", 16)._decode_table(1)[""] == (
+            "16s", {b"0" * 16: "1" * 15 + "0", b"0" * 15 + b"1": "1" * 16})
 
     @settings(max_examples=60)
     @given(st.integers(1, 12), st.integers(0, 2 ** 32), st.sampled_from([24, 40]))

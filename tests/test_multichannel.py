@@ -153,6 +153,13 @@ class TestCloneCodebook:
         with pytest.raises(ClassOverflowError):
             build_clone_codebook(2, [3, 1], 0)
 
+    @pytest.mark.parametrize("mults", [[1, 3.9, 4.2], [1, 3, 4.0], ["1", "3", "4"], None])
+    def test_non_integer_multiplicities(self, mults):
+        # int() would truncate 3.9 and 4.2 to the feasible book 1, 3, 4
+        with pytest.raises(InfeasibleMultiplicitiesError,
+                           match="multiplicities must be integers"):
+            build_clone_codebook(3, mults, 0)
+
     def test_infeasible_sum(self):
         with pytest.raises(InfeasibleMultiplicitiesError):
             build_clone_codebook(2, [1, 2], 0)
