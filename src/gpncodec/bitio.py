@@ -106,6 +106,11 @@ def check_rounds(rounds: int) -> None:
         raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {rounds}")
 
 
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+
+
 def check_target_width(m: int) -> None:
     if not 1 <= m <= MAX_TARGET_WIDTH:
         raise ValueError(
@@ -120,8 +125,7 @@ def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
             f"symbol width must be in [1, {MAX_SYMBOL_WIDTH}], got {meta.n}")
     if meta.algorithm == "mv2" and meta.n < 2:
         raise ValueError("mv2 needs a symbol width of at least 2")
-    if not 0 <= meta.seed < 1 << 64:
-        raise ValueError("seed must fit in 64 bits")
+    check_seed(meta.seed)
     if meta.algorithm == "fma":
         if flag_count:
             raise ValueError("fma containers carry no flag sections")

@@ -27,6 +27,7 @@ def encode_parts(bits: str, *, algorithm: str, n: int, seed: int = 0,
 
     Parameters the container cannot hold are rejected before any encoding.
     """
+    bitio.check_seed(seed)
     coder = _coder(algorithm, n, seed, multiplicities, m, policy)
     if algorithm == "fma":
         stream = fma.fma_encode(bits, coder)

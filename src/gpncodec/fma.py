@@ -8,14 +8,16 @@ with a per-chunk generator, so the same input encodes differently under
 different keys while decoding stays choice-independent.
 
 Both policies follow one rule: chunk i takes word `selector % count` of its
-value's words in ascending order. The keyed selector is chunk i's draw
-(`prng.indexed_draws`); the canonical selector is -1, the last word: the
-lexicographically largest, which is the greedy highest-weight-first word
-`gpn.canonical_encode` returns. One chunk at a time, that word is unranked
-from a table of word counts per position and value (`gpn._ranking`), built
-once per weight system, width and N: at most 2^N counts for each position
-whose weight is below 2^N, however many words there are. N and M are held
-to the container's limits, 1-16 and 1-255, which bounds that table.
+value's words in ascending order. The keyed selector is chunk i's draw,
+taken for a whole block of chunks at once (`prng.indexed_draws`, which
+evaluates SplitMix64 over packed 64-bit lanes); the canonical selector is
+-1, the last word: the lexicographically largest, which is the greedy
+highest-weight-first word `gpn.canonical_encode` returns. One chunk at a
+time, that word is unranked from a table of word counts per position and
+value (`gpn._ranking`), built once per weight system, width and N: at most
+2^N counts for each position whose weight is below 2^N, however many words
+there are. N and M are held to the container's limits, 1-16 and 1-255,
+which bounds that table.
 
 Whole-stream calls cut the stream into chunks or words with the key
 cutter of the core+flag rounds (`multichannel._pieces`), a block of

@@ -20,6 +20,14 @@ class TestContainerLimits:
          "multiplicities must be integers"),
         ({"algorithm": "clone", "n": 3, "multiplicities": ["1", "3", "4"]},
          "multiplicities must be integers"),
+        ({"algorithm": "fma", "n": 4, "seed": -1, "policy": "keyed"},
+         "seed must fit in 64 bits"),
+        ({"algorithm": "fma", "n": 4, "seed": 1 << 64, "policy": "keyed"},
+         "seed must fit in 64 bits"),
+        ({"algorithm": "mv2", "n": 2, "seed": -1, "rounds": 2},
+         "seed must fit in 64 bits"),
+        ({"algorithm": "mv2", "n": 2, "seed": 1 << 64, "rounds": 2},
+         "seed must fit in 64 bits"),
     ])
     def test_rejected_before_encoding(self, monkeypatch, params, message):
         monkeypatch.setattr(fma, "fma_encode", _must_not_run)
