@@ -60,14 +60,19 @@ _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
+def _int_lenient(bits: str) -> bool:
+    """Whether nonempty `bits` holds what int(_, 2) reads leniently:
+    non-ASCII digits, "_", blanks and signs at either end, a "0b" prefix.
+    One fast pass; int raises ValueError on any other stray character."""
+    return (not bits.isascii() or "_" in bits or bits[0] not in "01"
+            or bits[-1] not in "01" or bits[1:2] in ("b", "B"))
+
+
 def pack_bits(bits: str) -> bytes:
     """Pack a bit string MSB-first, zero-padding the final byte."""
     if not bits:
         return b""
-    # one fast pass for what int(_, 2) reads leniently: non-ASCII digits,
-    # "_", blanks and signs at either end, a "0b" prefix
-    if (not bits.isascii() or "_" in bits or bits[0] not in "01"
-            or bits[-1] not in "01" or bits[1:2] in ("b", "B")):
+    if _int_lenient(bits):
         raise ValueError("input is not a clean bit string")
     nbytes = (len(bits) + 7) // 8
     return int(bits.ljust(nbytes * 8, "0"), 2).to_bytes(nbytes, "big")

@@ -28,16 +28,26 @@ chunk table must also hold at most four words per chunk encoded, since
 slowly growing weights give a value very many words. Encode maps each
 N-bit chunk string to its sorted words; decode maps each M-bit word of
 value below 2^N to its chunk string. Both tables come from one ordered
-pass over the words of value below 2^N (`gpn._words_by_value`). The
-per-chunk functions stay the reference path: short calls use them, and
-any table miss reruns the whole call through them, so every output bit
-and every error is the same on both paths.
+pass over the words of value below 2^N (`gpn._words_by_value`).
+
+Decode checks the word count against the recorded length first. Where
+the word table does not pay, it sums each word's value in its own M-bit
+lane of one int per block (`_decode_lanes`), over the positions whose
+weight is below 2^N; a mask of the other positions finds words that use
+them. No lane carries into the next when M >= N and those weights sum
+below 2^M, which Fibonacci meets at every M (F(M+2) - 1 < 2^M). The
+per-chunk functions stay the reference path: any table or lane miss (a
+non-bit character, a forbidden position, a value of 2^N or more) reruns
+the whole call through them, so every output bit and every error is the
+same on every path.
 """
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitio import MAX_SYMBOL_WIDTH, POLICY_IDS, check_target_width
+from . import multichannel
+from .bitio import MAX_SYMBOL_WIDTH, POLICY_IDS, _int_lenient, check_target_width
 from .errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -185,6 +195,56 @@ def _encode_values(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
     return words
 
 
+def _lane_blocks(text: str, width: int):
+    """(int, lane count) per block of _BLOCK_BITS // width width-bit pieces,
+    the first in the top lane; ValueError if not a clean bit string."""
+    step = max(1, multichannel._BLOCK_BITS // width) * width
+    for lo in range(0, len(text), step):
+        block = text[lo:lo + step]
+        if _int_lenient(block):
+            raise ValueError("input is not a clean bit string")
+        yield int(block, 2), len(block) // width
+
+
+def _lane_ones(width: int, count: int) -> int:
+    """One bit at the bottom of each of `count` width-bit lanes."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+@lru_cache(maxsize=2)  # a call's full block and its tail
+def _lane_cut(width: int, keep: int, count: int):
+    """Unpacks the low `keep` bits of each of `count` width-bit lanes, top
+    lane first, from the ASCII bit string of their int."""
+    return struct.Struct(f"{width - keep}x{keep}s" * count).unpack
+
+
+@lru_cache(maxsize=64)
+def _lane_weights(ws: WeightSystem, m: int, n: int):
+    """((bit, weight) below 2^n, mask of the other bits), or None when an
+    m-bit lane could carry into the next or cannot hold a chunk."""
+    low = tuple((k, r) for k, r in enumerate(ws.weights(m)) if r < 1 << n)
+    if m < n or sum(r for _, r in low) >> m:
+        return None
+    return low, (1 << m) - 1 - sum(1 << k for k, _ in low)
+
+
+def _decode_lanes(payload: str, m: int, n: int, low, forbidden: int):
+    """Chunks of a payload of m-bit words, each word's value summed in its
+    own lane; None if a word sets a forbidden bit or its value is >= 2^n."""
+    high = (1 << m) - (1 << n)  # lane bits n..m-1
+    parts = []
+    for p, count in _lane_blocks(payload, m):
+        ones = _lane_ones(m, count)
+        if p & forbidden * ones:
+            return None
+        acc = sum([(p >> k & ones) * r for k, r in low])
+        if acc & high * ones:
+            return None
+        cut = _lane_cut(m, n, count)
+        parts.append(b"".join(cut(format(acc, f"0{m * count}b").encode())))
+    return b"".join(parts).decode()
+
+
 def fma_encode_chunk(value: int, cfg: FmaConfig, chunk_index: int = 0) -> str:
     """Encode one chunk value as a target-width word."""
     if not 0 <= value < 1 << cfg.chunk_width:
@@ -232,21 +292,26 @@ def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:
     if len(payload) % m:
         raise BitAlignmentError(
             f"payload length {len(payload)} is not a multiple of {m}")
+    words, original = len(payload) // m, stream.original_bit_length
+    if not original <= words * n < original + n:
+        raise CorruptStreamError(
+            f"payload decodes to {words * n} bits, recorded length {original}")
     bits = None
-    if _table_pays(m, len(payload) // m):
+    if _table_pays(m, words):
         table = _word_table(cfg.weight_system, m, n)
         try:
-            bits = "".join(["".join(map(table.__getitem__, words))
-                            for words in _pieces(payload, m, len(payload))])
+            bits = "".join(["".join(map(table.__getitem__, piece))
+                            for piece in _pieces(payload, m, len(payload))])
         except KeyError:
             pass  # the per-chunk path below raises the matching error
+    elif lanes := _lane_weights(cfg.weight_system, m, n):
+        try:
+            bits = _decode_lanes(payload, m, n, *lanes)
+        except ValueError:
+            pass  # not a clean bit string: the per-chunk path raises
     if bits is None:
         bits = "".join([format(fma_decode_chunk(payload[i:i + m], cfg), f"0{n}b")
                         for i in range(0, len(payload), m)])
-    original = stream.original_bit_length
-    if not original <= len(bits) < original + n:
-        raise CorruptStreamError(
-            f"payload decodes to {len(bits)} bits, recorded length {original}")
     if bits[original:].strip("0"):
         raise CorruptStreamError("padding bits are not zero")
     return bits[:original]

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
-from gpncodec import codec
+from gpncodec import bitio, codec, fma
 from gpncodec.cli import main
 
 TABLE5 = "00\t0\n01\t00\n10\t11\n11\t1\n"
@@ -336,6 +337,30 @@ class TestEncodeDecode:
                            "--out", str(restored))
         assert code == 0, err
         assert restored.read_bytes() == payload
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "12", "--policy", "keyed", "--seed", "21"),
+        ("--n", "16"),
+    ])
+    def test_fma_file_of_several_lane_blocks(self, tmp_path, capsys, argv):
+        # 12 KiB holds 8,192 12-bit or 6,144 16-bit chunks: three decode
+        # lane blocks of 65,536 payload bits at M = 17 and M = 23
+        source = tmp_path / "src.bin"
+        packed = tmp_path / "packed.gpnc"
+        restored = tmp_path / "restored.bin"
+        payload = random.Random(12).randbytes(12 << 10)
+        source.write_bytes(payload)
+        code, _, err = run(capsys, "encode", "--algo", "fma", *argv,
+                           "--in", str(source), "--out", str(packed))
+        assert code == 0, err
+        with mock.patch.object(fma, "_decode_lanes", wraps=fma._decode_lanes) as lanes:
+            code, _, err = run(capsys, "decode", "--in", str(packed),
+                               "--out", str(restored))
+        assert code == 0, err
+        assert lanes.call_count == 1
+        assert restored.read_bytes() == payload
+        in_process = codec.decode_from_container(packed.read_bytes())
+        assert restored.read_bytes() == bitio.pack_bits(in_process)
 
     def test_decode_reads_parameters_from_container_only(self, tmp_path, capsys):
         source = tmp_path / "src.bin"

@@ -1,10 +1,13 @@
-"""The fma chunk and word tables against the per-chunk path.
+"""The fma chunk and word tables, and the decode lanes, against the
+per-chunk path.
 
 `fma_encode` and `fma_decode` take their table path when a call has at
-least four chunks (or words) per table entry; the per-chunk functions are
+least four chunks (or words) per table entry; other decodes take the lane
+kernel where no lane can carry into the next. The per-chunk functions are
 the reference. Each test runs the call as the library picks its path, and
-again with `_table_pays` patched to refuse every table, and requires the
-same stream or bits, or the same exception class and message.
+again with `_table_pays` patched to refuse every table and `_lane_weights`
+to refuse lanes, and requires the same stream or bits, or the same
+exception class and message.
 """
 
 import random
@@ -42,7 +45,8 @@ def outcome(fn, *args):
 
 
 def per_chunk(fn, *args):
-    with mock.patch.object(fma, "_table_pays", return_value=False):
+    with mock.patch.object(fma, "_table_pays", return_value=False), \
+            mock.patch.object(fma, "_lane_weights", return_value=None):
         return outcome(fn, *args)
 
 
@@ -59,9 +63,35 @@ def encode_both(bits, cfg):
 
 
 def decode_both(stream, cfg):
+    """(library outcome, per-chunk outcome, the first decode path the
+    library entered: "table", "lanes", "per-chunk", or None when it
+    rejected the stream before decoding any word)."""
     before = lookups(fma._word_table)
-    got = outcome(fma_decode, stream, cfg)
-    return got, per_chunk(fma_decode, stream, cfg), lookups(fma._word_table) > before
+    with mock.patch.object(fma, "_decode_lanes", wraps=fma._decode_lanes) as lanes, \
+            mock.patch.object(fma, "fma_decode_chunk",
+                              wraps=fma.fma_decode_chunk) as chunk:
+        got = outcome(fma_decode, stream, cfg)
+    path = ("table" if lookups(fma._word_table) > before else
+            "lanes" if lanes.called else "per-chunk" if chunk.called else None)
+    return got, per_chunk(fma_decode, stream, cfg), path
+
+
+def lanes_fit(cfg) -> bool:
+    """No m-bit lane can carry: m >= n and the weights below 2^n sum
+    below 2^m."""
+    n, m = cfg.chunk_width, cfg.target_width
+    low = [r for r in cfg.weight_system.weights(m) if r < 1 << n]
+    return m >= n and sum(low) < 1 << m
+
+
+def decode_path(cfg, words) -> str | None:
+    """The path a call of `words` words with a valid length enters; None
+    for an empty payload where lanes do not apply."""
+    if cfg.target_width <= 12 and words >= 4 << cfg.target_width:
+        return "table"
+    if lanes_fit(cfg):
+        return "lanes"
+    return "per-chunk" if words else None
 
 
 def encodable_values(cfg):
@@ -109,9 +139,10 @@ def test_tables_match_per_chunk_path(cfg, data):
         assert tabled == (count >= enc_at)
         if got[0] != "ok":
             return
-        got, ref, tabled = decode_both(got[1], cfg)
+        got, ref, path = decode_both(got[1], cfg)
     assert got == ref == ("ok", bits)
-    assert tabled == (count >= dec_at and m <= 12)
+    assert (path == "table") == (count >= dec_at and m <= 12)
+    assert path == decode_path(cfg, count)
 
 
 @settings(max_examples=60)
@@ -125,10 +156,11 @@ def test_decode_of_arbitrary_words_matches(ws, n, extra, seed, length_shift):
     rng = random.Random(seed)
     words = 4 << m
     payload = format(rng.getrandbits(words * m), f"0{words * m}b")
-    stream = FmaStream(payload, max(0, words * n + length_shift))
-    got, ref, tabled = decode_both(stream, cfg)
+    original = max(0, words * n + length_shift)
+    got, ref, path = decode_both(FmaStream(payload, original), cfg)
     assert got == ref
-    assert tabled
+    # a recorded length the word count cannot give is rejected first
+    assert path == ("table" if original <= words * n < original + n else None)
 
 
 CANONICAL_SYSTEMS = SYSTEMS + [
@@ -183,10 +215,10 @@ class TestErrorParity:
         assert evaluate(bad, FIBONACCI) >= 8
         mid = len(stream.payload) // 2 // 5 * 5
         payload = stream.payload[:mid] + bad + stream.payload[mid + 5:]
-        got, ref, tabled = decode_both(
+        got, ref, path = decode_both(
             FmaStream(payload, stream.original_bit_length), cfg)
         assert got == ref
-        assert got[0] is InvalidChunkError and tabled
+        assert got[0] is InvalidChunkError and path == "table"
 
     def test_misaligned_payload(self):
         cfg = FmaConfig(chunk_width=3, target_width=5)
@@ -201,9 +233,9 @@ class TestErrorParity:
         stream, bits = table_sized_stream(cfg)
         padded = bits[:-2] + "11"
         tampered = FmaStream(fma_encode(padded, cfg).payload, len(bits) - 2)
-        got, ref, tabled = decode_both(tampered, cfg)
+        got, ref, path = decode_both(tampered, cfg)
         assert got == ref
-        assert got[0] is CorruptStreamError and tabled
+        assert got[0] is CorruptStreamError and path == "table"
 
     @pytest.mark.parametrize("policy", ["canonical", "keyed"])
     def test_forbidden_value(self, policy):
@@ -224,8 +256,8 @@ class TestErrorParity:
         assert got == ref and tabled
         payload = fma_encode("0110" * 300, cfg).payload
         tampered = FmaStream(payload[:60] + junk + payload[61:], 1200)
-        got, ref, tabled = decode_both(tampered, cfg)
-        assert got == ref and tabled
+        got, ref, path = decode_both(tampered, cfg)
+        assert got == ref and path == "table"
 
 
 def test_wide_one_chunk_call_builds_no_table():
@@ -235,3 +267,136 @@ def test_wide_one_chunk_call_builds_no_table():
     before = [cache.cache_info() for cache in TABLE_CACHES]
     assert fma_decode(fma_encode("1" * 13, cfg), cfg) == "1" * 13
     assert [cache.cache_info() for cache in TABLE_CACHES] == before
+
+
+def canonical_stream(cfg, count, seed=0):
+    """A stream of `count` canonical words of random encodable values, and
+    its input, by greedy encoding: no table is built at wide widths."""
+    n, m, ws = cfg.chunk_width, cfg.target_width, cfg.weight_system
+    rng = random.Random(seed)
+    words, chunks = [], []
+    while len(words) < count:
+        value = rng.getrandbits(n)
+        try:
+            words.append(canonical_encode(value, m, ws))
+        except NotRepresentableError:
+            continue
+        chunks.append(format(value, f"0{n}b"))
+    return FmaStream("".join(words), count * n), "".join(chunks)
+
+
+def wide_cases():
+    for ws in SYSTEMS:
+        for n in (3, 8, 13):
+            low = fma.min_width(n, ws)
+            for m in sorted({low, 12, 13, 24, 25, 255}):
+                if m >= low:
+                    yield pytest.param(ws, n, m, id=f"{ws!r}-n{n}-m{m}")
+
+
+@pytest.mark.parametrize("ws, n, m", wide_cases())
+def test_lanes_match_per_chunk_path(ws, n, m):
+    # valid words, random words, and valid words with one word of value
+    # >= 2^n, in blocks of seven words and in one block; every outcome
+    # equals the per-chunk path's, bits or exception class and message
+    cfg = FmaConfig(chunk_width=n, target_width=m, weight_system=ws)
+    rng = random.Random(f"{ws!r}/{n}/{m}")
+    valid = canonical_stream(cfg, 40, n * m)[0].payload
+    words = [valid[i:i + m] for i in range(0, len(valid), m)]
+    payloads = [valid, format(rng.getrandbits(40 * m), f"0{40 * m}b")]
+    big = next((w for w in (format(rng.getrandbits(m), f"0{m}b") for _ in range(1000))
+                if evaluate(w, ws) >= 1 << n), None)
+    if big:  # none at the minimal width of some systems
+        spot = rng.randrange(40)
+        payloads.append("".join(words[:spot] + [big] + words[spot + 1:]))
+    for block in (7 * m, 1 << 16):
+        with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            outcomes = []
+            for payload in payloads:
+                got, ref, path = decode_both(FmaStream(payload, 40 * n), cfg)
+                assert got == ref
+                assert path == decode_path(cfg, 40)
+                outcomes.append(got[0])
+        assert outcomes[0] == "ok"
+        assert outcomes[2:] in ([], [InvalidChunkError])
+
+
+class TestLaneMisses:
+    """Words the lane kernel hands back: the call reruns per chunk and
+    raises what the per-chunk path raises."""
+
+    @pytest.mark.parametrize("lane", ["first", "middle", "last"])
+    @pytest.mark.parametrize("per_block", [5, (1 << 16) // 19])
+    def test_word_above_chunk_range(self, lane, per_block):
+        # N=13 M=19 uses no weight of 2^13 or more: "1" * 19 is 10,945
+        cfg = FmaConfig(chunk_width=13)
+        stream, bits = canonical_stream(cfg, 2 * per_block + 3)
+        at = per_block + {"first": 0, "middle": per_block // 2,
+                          "last": per_block - 1}[lane]
+        payload = stream.payload[:19 * at] + "1" * 19 + stream.payload[19 * at + 19:]
+        with mock.patch.object(multichannel, "_BLOCK_BITS", 19 * per_block):
+            assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), "lanes")
+            got, ref, path = decode_both(
+                FmaStream(payload, stream.original_bit_length), cfg)
+        assert got == ref
+        assert got[0] is InvalidChunkError and path == "lanes"
+
+    @pytest.mark.parametrize("m, bad", [
+        (5, "11000"),   # 3 + 5 = 8 from weights below 2^3
+        (6, "100000"),  # R_6 = 8: a forbidden position, outside the lane sum
+    ])
+    def test_word_above_chunk_range_short_call(self, m, bad):
+        cfg = FmaConfig(chunk_width=3, target_width=m)
+        stream, _ = canonical_stream(cfg, 30)
+        payload = stream.payload[:10 * m] + bad + stream.payload[11 * m:]
+        got, ref, path = decode_both(
+            FmaStream(payload, stream.original_bit_length), cfg)
+        assert got == ref
+        assert got[0] is InvalidChunkError and path == "lanes"
+
+    @pytest.mark.parametrize("junk", ["2", "_", " "])
+    @pytest.mark.parametrize("at", [24, 30, 47, 0, 239])
+    def test_non_bit_character(self, junk, at):
+        # N=4 M=6 in blocks of four words: the junk at a block's first,
+        # middle and last character, and at the payload's ends
+        cfg = FmaConfig(chunk_width=4)
+        stream, _ = canonical_stream(cfg, 40)
+        tampered = FmaStream(stream.payload[:at] + junk + stream.payload[at + 1:],
+                             stream.original_bit_length)
+        with mock.patch.object(multichannel, "_BLOCK_BITS", 24):
+            got, ref, path = decode_both(tampered, cfg)
+        assert got == ref
+        assert got[0] is ValueError and path == "lanes"
+
+    @pytest.mark.parametrize("ws, n, m", [
+        (WeightSystem.b_radix(3), 2, 2),   # 1 + 3 = 4
+        (WeightSystem.b_radix(3), 8, 6),   # 1 + ... + 243 = 364
+        (WeightSystem.factorial(), 3, 3),  # 1 + 2 + 6 = 9
+        (WeightSystem.factorial(), 4, 5),  # 1 + 2 + 6 = 9, below 2^5
+        (WeightSystem.factorial(), 12, 10),  # 873 < 2^10, but 12-bit chunks
+    ])
+    def test_lanes_that_could_carry_run_per_chunk(self, ws, n, m):
+        cfg = FmaConfig(chunk_width=n, target_width=m, weight_system=ws)
+        stream, bits = canonical_stream(cfg, 12)  # below 4 << m: no word table
+        expected = "lanes" if lanes_fit(cfg) else "per-chunk"
+        assert (expected == "lanes") == (ws == WeightSystem.factorial() and m == 5)
+        assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), expected)
+        payload = "1" * m + stream.payload[m:]
+        got, ref, path = decode_both(
+            FmaStream(payload, stream.original_bit_length), cfg)
+        assert got == ref and path == expected
+        assert got[0] is InvalidChunkError
+
+
+@pytest.mark.parametrize("shift", [-5, 5])
+def test_bad_length_is_rejected_before_any_word(shift):
+    # 1 MiB of payload bits at N=4 M=16: a recorded length off by N + 1
+    # is refused from the word count, without evaluating a word, even
+    # though the first word's value (2,583) is out of range too
+    cfg = FmaConfig(chunk_width=4, target_width=16)
+    stream = FmaStream("1" * 16 + "0" * ((8 << 20) - 16), (8 << 20) // 16 * 4 + shift)
+    with mock.patch.object(fma, "evaluate", side_effect=AssertionError), \
+            mock.patch.object(fma, "_decode_lanes", side_effect=AssertionError), \
+            mock.patch.object(fma, "_word_table", side_effect=AssertionError):
+        with pytest.raises(CorruptStreamError, match="payload decodes to 2097152 bits"):
+            fma_decode(stream, cfg)
