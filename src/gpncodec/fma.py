@@ -19,29 +19,30 @@ value (`gpn._ranking`), built once per weight system, width and N: at most
 there are. N and M are held to the container's limits, 1-16 and 1-255,
 which bounds that table.
 
-Whole-stream calls cut the stream into chunks or words with the key
-cutter of the core+flag rounds (`multichannel._pieces`), a block of
-characters at a time, and look them up in tables when the call is long
-enough to pay for them, by the rounds' rule (`multichannel._table_pays`):
-keys at most 12 bits wide and at least four lookups per table entry. The
-chunk table must also hold at most four words per chunk encoded, since
-slowly growing weights give a value very many words. Encode maps each
-N-bit chunk string to its sorted words; decode maps each M-bit word of
-value below 2^N to its chunk string. Both tables come from one ordered
-pass over the words of value below 2^N (`gpn._words_by_value`).
+Whole-stream encode cuts the stream into chunks with the key cutter of
+the core+flag rounds (`multichannel._pieces`), a block of characters at a
+time, and looks them up in a chunk table when the call is long enough to
+pay for it, by the rounds' rule (`multichannel._table_pays`): keys at most
+12 bits wide and at least four lookups per table entry. The table must
+also hold at most four words per chunk encoded, since slowly growing
+weights give a value very many words. It maps each N-bit chunk string to
+its sorted words, from one ordered pass over the words of value below 2^N
+(`gpn._words_by_value`).
 
-Decode checks the word count against the recorded length first. Where
-the word table does not pay, it sums each word's value in its own M-bit
-lane of one int per block (`_decode_lanes`), over the positions whose
-weight is below 2^N; a mask of the other positions finds words that use
-them. No lane carries into the next when M >= N and those weights sum
-below 2^M, which Fibonacci meets at every M (F(M+2) - 1 < 2^M). The
-per-chunk functions stay the reference path: any table or lane miss (a
-non-bit character, a forbidden position, a value of 2^N or more) reruns
-the whole call through them, so every output bit and every error is the
-same on every path.
+Decode checks the word count against the recorded length first. It then
+sums each word's value in its own lane of one int per block
+(`_decode_lanes`), over the positions whose weight is below 2^N; a mask of
+the other positions finds words that use them. Lanes are L = max(M, N,
+bits of the sum of those weights) wide, each word left-padded with zeros
+to L bits where L > M: no lane's value reaches 2^L, so none carries into
+the next, and every chunk fits in its lane. The per-chunk functions stay
+the reference path: from the first block the lanes refuse (a non-bit
+character, a forbidden position, a value of 2^N or more) decode runs one
+word at a time through them, so every output bit and every error is the
+same as theirs.
 """
 
+import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -140,13 +141,6 @@ def _chunk_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]
             if reps}
 
 
-@lru_cache(maxsize=64)
-def _word_table(ws: WeightSystem, m: int, n: int) -> dict[str, str]:
-    """Word -> chunk string for every m-bit word of value below 2^n."""
-    return {word: chunk for chunk, reps in _chunk_table(ws, m, n).items()
-            for word in reps}
-
-
 def _chunk_table_pays(cfg: FmaConfig, chunks: int) -> bool:
     """Whether encoding `chunks` chunks justifies the chunk table: its 2^N
     keys pay (`_table_pays`) and it holds at most _TABLE_SHARE words per
@@ -195,15 +189,20 @@ def _encode_values(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
     return words
 
 
-def _lane_blocks(text: str, width: int):
+def _lane_blocks(text: str, width: int, lane: int):
     """(int, lane count) per block of _BLOCK_BITS // width width-bit pieces,
-    the first in the top lane; ValueError if not a clean bit string."""
+    each left-padded with zeros to a lane-bit lane, the first in the top
+    lane; ValueError if a block is not a clean bit string."""
     step = max(1, multichannel._BLOCK_BITS // width) * width
+    pad = "0" * (lane - width)
+    split = re.compile(f"(?s).{{{width}}}").findall
     for lo in range(0, len(text), step):
         block = text[lo:lo + step]
+        if pad:  # only where needed: padding costs 2-3x a direct read
+            block = pad + pad.join(split(block))
         if _int_lenient(block):
             raise ValueError("input is not a clean bit string")
-        yield int(block, 2), len(block) // width
+        yield int(block, 2), len(block) // lane
 
 
 def _lane_ones(width: int, count: int) -> int:
@@ -220,29 +219,34 @@ def _lane_cut(width: int, keep: int, count: int):
 
 @lru_cache(maxsize=64)
 def _lane_weights(ws: WeightSystem, m: int, n: int):
-    """((bit, weight) below 2^n, mask of the other bits), or None when an
-    m-bit lane could carry into the next or cannot hold a chunk."""
+    """(lane width, (bit, weight) below 2^n, mask of the other bits). The
+    lanes hold an n-bit chunk and the sum of those weights, so no lane can
+    carry into the next."""
     low = tuple((k, r) for k, r in enumerate(ws.weights(m)) if r < 1 << n)
-    if m < n or sum(r for _, r in low) >> m:
-        return None
-    return low, (1 << m) - 1 - sum(1 << k for k, _ in low)
+    lane = max(m, n, sum(r for _, r in low).bit_length())
+    return lane, low, (1 << m) - 1 - sum(1 << k for k, _ in low)
 
 
-def _decode_lanes(payload: str, m: int, n: int, low, forbidden: int):
-    """Chunks of a payload of m-bit words, each word's value summed in its
-    own lane; None if a word sets a forbidden bit or its value is >= 2^n."""
-    high = (1 << m) - (1 << n)  # lane bits n..m-1
-    parts = []
-    for p, count in _lane_blocks(payload, m):
-        ones = _lane_ones(m, count)
-        if p & forbidden * ones:
-            return None
-        acc = sum([(p >> k & ones) * r for k, r in low])
-        if acc & high * ones:
-            return None
-        cut = _lane_cut(m, n, count)
-        parts.append(b"".join(cut(format(acc, f"0{m * count}b").encode())))
-    return b"".join(parts).decode()
+def _decode_lanes(payload: str, m: int, n: int, lane: int, low, forbidden: int):
+    """(chunks, words decoded) of the blocks of m-bit words before the first
+    that holds a non-bit character, a forbidden bit or a value >= 2^n, each
+    word's value summed in its own lane-bit lane."""
+    high = (1 << lane) - (1 << n)  # lane bits n..lane-1
+    parts, words = [], 0
+    try:
+        for p, count in _lane_blocks(payload, m, lane):
+            ones = _lane_ones(lane, count)
+            if p & forbidden * ones:
+                break
+            acc = sum([(p >> k & ones) * r for k, r in low])
+            if acc & high * ones:
+                break
+            cut = _lane_cut(lane, n, count)
+            parts.append(b"".join(cut(format(acc, f"0{lane * count}b").encode())))
+            words += count
+    except ValueError:
+        pass  # a non-bit character: the block reruns per chunk
+    return b"".join(parts).decode(), words
 
 
 def fma_encode_chunk(value: int, cfg: FmaConfig, chunk_index: int = 0) -> str:
@@ -296,22 +300,9 @@ def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:
     if not original <= words * n < original + n:
         raise CorruptStreamError(
             f"payload decodes to {words * n} bits, recorded length {original}")
-    bits = None
-    if _table_pays(m, words):
-        table = _word_table(cfg.weight_system, m, n)
-        try:
-            bits = "".join(["".join(map(table.__getitem__, piece))
-                            for piece in _pieces(payload, m, len(payload))])
-        except KeyError:
-            pass  # the per-chunk path below raises the matching error
-    elif lanes := _lane_weights(cfg.weight_system, m, n):
-        try:
-            bits = _decode_lanes(payload, m, n, *lanes)
-        except ValueError:
-            pass  # not a clean bit string: the per-chunk path raises
-    if bits is None:
-        bits = "".join([format(fma_decode_chunk(payload[i:i + m], cfg), f"0{n}b")
-                        for i in range(0, len(payload), m)])
+    bits, done = _decode_lanes(payload, m, n, *_lane_weights(cfg.weight_system, m, n))
+    bits += "".join([format(fma_decode_chunk(payload[i:i + m], cfg), f"0{n}b")
+                     for i in range(done * m, len(payload), m)])
     if bits[original:].strip("0"):
         raise CorruptStreamError("padding bits are not zero")
     return bits[:original]

@@ -308,7 +308,7 @@ class MultiRoundOutput:
 def _table_pays(key_bits: int, keys: int) -> bool:
     """Whether `keys` lookups justify a table of 2^key_bits entries: keys
     at most _KEY_BITS wide and at least _TABLE_SHARE lookups per entry.
-    The fma chunk and word tables follow the same rule."""
+    The fma chunk table follows the same rule."""
     return key_bits <= _KEY_BITS and _TABLE_SHARE << key_bits <= keys
 
 

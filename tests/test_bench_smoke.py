@@ -3,9 +3,9 @@ fma-expand run, and every function the tracer wraps still present.
 
 The benchmark checks every output against expectations written from the
 README, independently of the package, so this also covers the grouped
-round tables (its 4 KiB mv2 N=2 messages take them) and the fma chunk and
-word tables (every fma-expand item takes them; its payloads are checked
-against the benchmark's own Fibonacci weights).
+round tables (its 4 KiB mv2 N=2 messages take them) and the fma chunk
+table and decode lanes (every fma-expand item takes them; its payloads
+are checked against the benchmark's own Fibonacci weights).
 """
 
 import importlib.util

@@ -1,13 +1,12 @@
-"""The fma chunk and word tables, and the decode lanes, against the
-per-chunk path.
+"""The fma chunk table and the decode lanes against the per-chunk path.
 
-`fma_encode` and `fma_decode` take their table path when a call has at
-least four chunks (or words) per table entry; other decodes take the lane
-kernel where no lane can carry into the next. The per-chunk functions are
-the reference. Each test runs the call as the library picks its path, and
-again with `_table_pays` patched to refuse every table and `_lane_weights`
-to refuse lanes, and requires the same stream or bits, or the same
-exception class and message.
+`fma_encode` takes its table path when a call has at least four chunks
+per table entry; `fma_decode` takes the lane kernel, in lanes wide enough
+that none can carry into the next, up to the first block it refuses. The
+per-chunk functions are the reference. Each test runs the call as the
+library picks its path, and again with `_table_pays` patched to refuse
+every table and `_decode_lanes` to decode no word, and requires the same
+stream or bits, or the same exception class and message.
 """
 
 import random
@@ -34,7 +33,7 @@ SYSTEMS = [
     WeightSystem.b_radix(3),                  # weights 1, 3, 9: 2 is forbidden
 ]
 SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 12345, 2 ** 80 + 7]
-TABLE_CACHES = (fma._chunk_table, fma._word_table)
+TABLE_CACHES = (fma._chunk_table,)
 
 
 def outcome(fn, *args):
@@ -46,7 +45,7 @@ def outcome(fn, *args):
 
 def per_chunk(fn, *args):
     with mock.patch.object(fma, "_table_pays", return_value=False), \
-            mock.patch.object(fma, "_lane_weights", return_value=None):
+            mock.patch.object(fma, "_decode_lanes", return_value=("", 0)):
         return outcome(fn, *args)
 
 
@@ -64,34 +63,14 @@ def encode_both(bits, cfg):
 
 def decode_both(stream, cfg):
     """(library outcome, per-chunk outcome, the first decode path the
-    library entered: "table", "lanes", "per-chunk", or None when it
-    rejected the stream before decoding any word)."""
-    before = lookups(fma._word_table)
+    library entered: "lanes", "per-chunk", or None when it rejected the
+    stream before decoding any word)."""
     with mock.patch.object(fma, "_decode_lanes", wraps=fma._decode_lanes) as lanes, \
             mock.patch.object(fma, "fma_decode_chunk",
                               wraps=fma.fma_decode_chunk) as chunk:
         got = outcome(fma_decode, stream, cfg)
-    path = ("table" if lookups(fma._word_table) > before else
-            "lanes" if lanes.called else "per-chunk" if chunk.called else None)
+    path = "lanes" if lanes.called else "per-chunk" if chunk.called else None
     return got, per_chunk(fma_decode, stream, cfg), path
-
-
-def lanes_fit(cfg) -> bool:
-    """No m-bit lane can carry: m >= n and the weights below 2^n sum
-    below 2^m."""
-    n, m = cfg.chunk_width, cfg.target_width
-    low = [r for r in cfg.weight_system.weights(m) if r < 1 << n]
-    return m >= n and sum(low) < 1 << m
-
-
-def decode_path(cfg, words) -> str | None:
-    """The path a call of `words` words with a valid length enters; None
-    for an empty payload where lanes do not apply."""
-    if cfg.target_width <= 12 and words >= 4 << cfg.target_width:
-        return "table"
-    if lanes_fit(cfg):
-        return "lanes"
-    return "per-chunk" if words else None
 
 
 def encodable_values(cfg):
@@ -118,10 +97,10 @@ def configs(draw):
 @given(configs(), st.data())
 def test_tables_match_per_chunk_path(cfg, data):
     n, m = cfg.chunk_width, cfg.target_width
-    # chunk counts on both sides of the encode and the decode thresholds
-    enc_at, dec_at = 4 << n, 4 << m
+    # chunk counts on both sides of the encode threshold, and long calls
+    enc_at, many = 4 << n, 4 << m
     count = data.draw(st.sampled_from(
-        [0, 1, enc_at - 1, enc_at, enc_at + 3, dec_at - 1, dec_at]))
+        [0, 1, enc_at - 1, enc_at, enc_at + 3, many - 1, many]))
     tail = data.draw(st.integers(0, n - 1)) if count else 0
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     values = encodable_values(cfg)
@@ -140,9 +119,7 @@ def test_tables_match_per_chunk_path(cfg, data):
         if got[0] != "ok":
             return
         got, ref, path = decode_both(got[1], cfg)
-    assert got == ref == ("ok", bits)
-    assert (path == "table") == (count >= dec_at and m <= 12)
-    assert path == decode_path(cfg, count)
+    assert got == ref == ("ok", bits) and path == "lanes"
 
 
 @settings(max_examples=60)
@@ -160,7 +137,7 @@ def test_decode_of_arbitrary_words_matches(ws, n, extra, seed, length_shift):
     got, ref, path = decode_both(FmaStream(payload, original), cfg)
     assert got == ref
     # a recorded length the word count cannot give is rejected first
-    assert path == ("table" if original <= words * n < original + n else None)
+    assert path == ("lanes" if original <= words * n < original + n else None)
 
 
 CANONICAL_SYSTEMS = SYSTEMS + [
@@ -198,7 +175,7 @@ def test_canonical_policy_is_canonical_encode(ws, n, extra, tabled,
 
 
 def table_sized_stream(cfg):
-    """A valid stream long enough for the word table, and its input."""
+    """A valid stream long enough for the chunk table, and its input."""
     rng = random.Random(cfg.target_width)
     bits = chunk_bits(rng, encodable_values(cfg), 4 << cfg.target_width,
                       cfg.chunk_width)
@@ -218,7 +195,7 @@ class TestErrorParity:
         got, ref, path = decode_both(
             FmaStream(payload, stream.original_bit_length), cfg)
         assert got == ref
-        assert got[0] is InvalidChunkError and path == "table"
+        assert got[0] is InvalidChunkError and path == "lanes"
 
     def test_misaligned_payload(self):
         cfg = FmaConfig(chunk_width=3, target_width=5)
@@ -235,7 +212,7 @@ class TestErrorParity:
         tampered = FmaStream(fma_encode(padded, cfg).payload, len(bits) - 2)
         got, ref, path = decode_both(tampered, cfg)
         assert got == ref
-        assert got[0] is CorruptStreamError and path == "table"
+        assert got[0] is CorruptStreamError and path == "lanes"
 
     @pytest.mark.parametrize("policy", ["canonical", "keyed"])
     def test_forbidden_value(self, policy):
@@ -257,12 +234,12 @@ class TestErrorParity:
         payload = fma_encode("0110" * 300, cfg).payload
         tampered = FmaStream(payload[:60] + junk + payload[61:], 1200)
         got, ref, path = decode_both(tampered, cfg)
-        assert got == ref and path == "table"
+        assert got == ref and path == "lanes"
 
 
 def test_wide_one_chunk_call_builds_no_table():
-    # a single keyed N=13 chunk is unranked from a count table: neither a
-    # 2^13-entry chunk table nor a word table is built
+    # a single keyed N=13 chunk is unranked from a count table: no
+    # 2^13-entry chunk table is built
     cfg = FmaConfig(chunk_width=13, policy="keyed", seed=1)
     before = [cache.cache_info() for cache in TABLE_CACHES]
     assert fma_decode(fma_encode("1" * 13, cfg), cfg) == "1" * 13
@@ -292,18 +269,26 @@ def wide_cases():
             for m in sorted({low, 12, 13, 24, 25, 255}):
                 if m >= low:
                     yield pytest.param(ws, n, m, id=f"{ws!r}-n{n}-m{m}")
+    # lanes wider than M (b_radix(3) N=8 M=6, with 9-bit lanes, is above),
+    # and M < N
+    for ws, n, m in [(WeightSystem.deformed_fibonacci((2, 1)), 4, 4),
+                     (WeightSystem.factorial(), 12, 10)]:
+        yield pytest.param(ws, n, m, id=f"{ws!r}-n{n}-m{m}")
 
 
 @pytest.mark.parametrize("ws, n, m", wide_cases())
 def test_lanes_match_per_chunk_path(ws, n, m):
-    # valid words, random words, and valid words with one word of value
-    # >= 2^n, in blocks of seven words and in one block; every outcome
-    # equals the per-chunk path's, bits or exception class and message
+    # valid words, random words, valid words with a blank at the last and
+    # at the first character of a seven-word block, and valid words with
+    # one word of value >= 2^n, in blocks of seven words and in one block;
+    # every outcome equals the per-chunk path's, bits or exception class
+    # and message
     cfg = FmaConfig(chunk_width=n, target_width=m, weight_system=ws)
     rng = random.Random(f"{ws!r}/{n}/{m}")
     valid = canonical_stream(cfg, 40, n * m)[0].payload
     words = [valid[i:i + m] for i in range(0, len(valid), m)]
     payloads = [valid, format(rng.getrandbits(40 * m), f"0{40 * m}b")]
+    payloads += [valid[:at] + " " + valid[at + 1:] for at in (7 * m - 1, 7 * m)]
     big = next((w for w in (format(rng.getrandbits(m), f"0{m}b") for _ in range(1000))
                 if evaluate(w, ws) >= 1 << n), None)
     if big:  # none at the minimal width of some systems
@@ -314,16 +299,15 @@ def test_lanes_match_per_chunk_path(ws, n, m):
             outcomes = []
             for payload in payloads:
                 got, ref, path = decode_both(FmaStream(payload, 40 * n), cfg)
-                assert got == ref
-                assert path == decode_path(cfg, 40)
+                assert got == ref and path == "lanes"
                 outcomes.append(got[0])
-        assert outcomes[0] == "ok"
-        assert outcomes[2:] in ([], [InvalidChunkError])
+        assert outcomes[:1] + outcomes[2:4] == ["ok", ValueError, ValueError]
+        assert outcomes[4:] in ([], [InvalidChunkError])
 
 
 class TestLaneMisses:
-    """Words the lane kernel hands back: the call reruns per chunk and
-    raises what the per-chunk path raises."""
+    """Words the lane kernel hands back: the call reruns per chunk from
+    the block that holds them and raises what the per-chunk path raises."""
 
     @pytest.mark.parametrize("lane", ["first", "middle", "last"])
     @pytest.mark.parametrize("per_block", [5, (1 << 16) // 19])
@@ -334,12 +318,17 @@ class TestLaneMisses:
         at = per_block + {"first": 0, "middle": per_block // 2,
                           "last": per_block - 1}[lane]
         payload = stream.payload[:19 * at] + "1" * 19 + stream.payload[19 * at + 19:]
+        bad = FmaStream(payload, stream.original_bit_length)
         with mock.patch.object(multichannel, "_BLOCK_BITS", 19 * per_block):
             assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), "lanes")
-            got, ref, path = decode_both(
-                FmaStream(payload, stream.original_bit_length), cfg)
+            got, ref, path = decode_both(bad, cfg)
+            with mock.patch.object(fma, "fma_decode_chunk",
+                                   wraps=fma.fma_decode_chunk) as chunk:
+                outcome(fma_decode, bad, cfg)
         assert got == ref
         assert got[0] is InvalidChunkError and path == "lanes"
+        # per chunk only from the first word of the second block
+        assert chunk.call_count == at - per_block + 1 <= per_block
 
     @pytest.mark.parametrize("m, bad", [
         (5, "11000"),   # 3 + 5 = 8 from weights below 2^3
@@ -368,23 +357,24 @@ class TestLaneMisses:
         assert got == ref
         assert got[0] is ValueError and path == "lanes"
 
-    @pytest.mark.parametrize("ws, n, m", [
-        (WeightSystem.b_radix(3), 2, 2),   # 1 + 3 = 4
-        (WeightSystem.b_radix(3), 8, 6),   # 1 + ... + 243 = 364
-        (WeightSystem.factorial(), 3, 3),  # 1 + 2 + 6 = 9
-        (WeightSystem.factorial(), 4, 5),  # 1 + 2 + 6 = 9, below 2^5
-        (WeightSystem.factorial(), 12, 10),  # 873 < 2^10, but 12-bit chunks
+    @pytest.mark.parametrize("ws, n, m, lane", [
+        (WeightSystem.b_radix(3), 2, 2, 3),     # 1 + 3 = 4
+        (WeightSystem.b_radix(3), 8, 6, 9),     # 1 + ... + 243 = 364
+        (WeightSystem.factorial(), 3, 3, 4),    # 1 + 2 + 6 = 9
+        (WeightSystem.factorial(), 4, 5, 5),    # 1 + 2 + 6 = 9, below 2^5
+        (WeightSystem.factorial(), 12, 10, 12),  # 873 < 2^10, but 12-bit chunks
     ])
-    def test_lanes_that_could_carry_run_per_chunk(self, ws, n, m):
+    def test_lanes_widen_until_none_can_carry(self, ws, n, m, lane):
+        # an m-bit lane could carry, or could not hold a chunk, at all but
+        # N=4 M=5: these decode on lanes of the width each needs
         cfg = FmaConfig(chunk_width=n, target_width=m, weight_system=ws)
-        stream, bits = canonical_stream(cfg, 12)  # below 4 << m: no word table
-        expected = "lanes" if lanes_fit(cfg) else "per-chunk"
-        assert (expected == "lanes") == (ws == WeightSystem.factorial() and m == 5)
-        assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), expected)
+        assert fma._lane_weights(ws, m, n)[0] == lane
+        stream, bits = canonical_stream(cfg, 12)
+        assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), "lanes")
         payload = "1" * m + stream.payload[m:]
         got, ref, path = decode_both(
             FmaStream(payload, stream.original_bit_length), cfg)
-        assert got == ref and path == expected
+        assert got == ref and path == "lanes"
         assert got[0] is InvalidChunkError
 
 
@@ -396,7 +386,6 @@ def test_bad_length_is_rejected_before_any_word(shift):
     cfg = FmaConfig(chunk_width=4, target_width=16)
     stream = FmaStream("1" * 16 + "0" * ((8 << 20) - 16), (8 << 20) // 16 * 4 + shift)
     with mock.patch.object(fma, "evaluate", side_effect=AssertionError), \
-            mock.patch.object(fma, "_decode_lanes", side_effect=AssertionError), \
-            mock.patch.object(fma, "_word_table", side_effect=AssertionError):
+            mock.patch.object(fma, "_decode_lanes", side_effect=AssertionError):
         with pytest.raises(CorruptStreamError, match="payload decodes to 2097152 bits"):
             fma_decode(stream, cfg)
