@@ -137,8 +137,9 @@ def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
         check_target_width(meta.m)
         if meta.policy not in POLICY_IDS:
             raise ValueError(f"unknown policy {meta.policy!r}")
-        if meta.original_bit_length < 0:
-            raise ValueError("original bit length must be nonnegative")
+        if not 0 <= meta.original_bit_length < 1 << 64:
+            raise ValueError(
+                "original bit length must be nonnegative and fit in 64 bits")
     else:
         check_rounds(meta.rounds)
         if flag_count != meta.rounds:
@@ -148,8 +149,8 @@ def _validate_meta(meta: ContainerMeta, flag_count: int) -> None:
             raise ValueError(
                 f"{meta.rounds} rounds but "
                 f"{len(meta.round_input_lengths)} recorded lengths")
-        if any(x < 0 for x in meta.round_input_lengths):
-            raise ValueError("round lengths must be nonnegative")
+        if any(not 0 <= x < 1 << 64 for x in meta.round_input_lengths):
+            raise ValueError("round lengths must be nonnegative and fit in 64 bits")
         if meta.algorithm == "clone":
             if len(meta.multiplicities) != meta.n:
                 raise ValueError(

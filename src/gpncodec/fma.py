@@ -33,17 +33,17 @@ Decode checks the word count against the recorded length first. It then
 sums each word's value in its own lane of one int per block
 (`_decode_lanes`), over the positions whose weight is below 2^N; a mask of
 the other positions finds words that use them. Lanes are L = max(M, N,
-bits of the sum of those weights) wide, each word left-padded with zeros
-to L bits where L > M: no lane's value reaches 2^L, so none carries into
-the next, and every chunk fits in its lane. The per-chunk functions stay
-the reference path: from the first block the lanes refuse (a non-bit
+bits of the sum of those weights) wide: no lane's value reaches 2^L, so
+none carries into the next, and every chunk fits in its lane. One helper,
+`_relane`, moves characters between lane widths by one strided copy per
+kept column: it widens each word to L bits with zeros where L > M, and
+cuts the low N bits of each lane out of the sum. The per-chunk functions
+stay the reference path: from the first block the lanes refuse (a non-bit
 character, a forbidden position, a value of 2^N or more) decode runs one
 word at a time through them, so every output bit and every error is the
 same as theirs.
 """
 
-import re
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -189,32 +189,21 @@ def _encode_values(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
     return words
 
 
-def _lane_blocks(text: str, width: int, lane: int):
-    """(int, lane count) per block of _BLOCK_BITS // width width-bit pieces,
-    each left-padded with zeros to a lane-bit lane, the first in the top
-    lane; ValueError if a block is not a clean bit string."""
-    step = max(1, multichannel._BLOCK_BITS // width) * width
-    pad = "0" * (lane - width)
-    split = re.compile(f"(?s).{{{width}}}").findall
-    for lo in range(0, len(text), step):
-        block = text[lo:lo + step]
-        if pad:  # only where needed: padding costs 2-3x a direct read
-            block = pad + pad.join(split(block))
-        if _int_lenient(block):
-            raise ValueError("input is not a clean bit string")
-        yield int(block, 2), len(block) // lane
+def _relane(text: bytes, width: int, lane: int, count: int) -> bytes:
+    """Each of `count` width-character pieces of `text` at the low end of a
+    lane-character lane, zero-filled above (cut to its low `lane`
+    characters if lane < width): one strided copy per kept column."""
+    if lane == width:
+        return text
+    out = bytearray(b"0" * (lane * count))
+    for j in range(1, min(width, lane) + 1):
+        out[lane - j::lane] = text[width - j::width]
+    return out
 
 
 def _lane_ones(width: int, count: int) -> int:
     """One bit at the bottom of each of `count` width-bit lanes."""
     return ((1 << width * count) - 1) // ((1 << width) - 1)
-
-
-@lru_cache(maxsize=2)  # a call's full block and its tail
-def _lane_cut(width: int, keep: int, count: int):
-    """Unpacks the low `keep` bits of each of `count` width-bit lanes, top
-    lane first, from the ASCII bit string of their int."""
-    return struct.Struct(f"{width - keep}x{keep}s" * count).unpack
 
 
 @lru_cache(maxsize=64)
@@ -230,22 +219,27 @@ def _lane_weights(ws: WeightSystem, m: int, n: int):
 def _decode_lanes(payload: str, m: int, n: int, lane: int, low, forbidden: int):
     """(chunks, words decoded) of the blocks of m-bit words before the first
     that holds a non-bit character, a forbidden bit or a value >= 2^n, each
-    word's value summed in its own lane-bit lane."""
+    word's value summed in its own lane-bit lane, the first in the top lane."""
     high = (1 << lane) - (1 << n)  # lane bits n..lane-1
+    step = max(1, multichannel._BLOCK_BITS // m) * m
     parts, words = [], 0
-    try:
-        for p, count in _lane_blocks(payload, m, lane):
-            ones = _lane_ones(lane, count)
-            if p & forbidden * ones:
-                break
-            acc = sum([(p >> k & ones) * r for k, r in low])
-            if acc & high * ones:
-                break
-            cut = _lane_cut(lane, n, count)
-            parts.append(b"".join(cut(format(acc, f"0{lane * count}b").encode())))
-            words += count
-    except ValueError:
-        pass  # a non-bit character: the block reruns per chunk
+    for lo in range(0, len(payload), step):
+        block = payload[lo:lo + step]
+        count = len(block) // m
+        if _int_lenient(block):
+            break
+        try:
+            p = int(_relane(block.encode(), m, lane, count), 2)
+        except ValueError:
+            break  # a non-bit character: the block reruns per chunk
+        ones = _lane_ones(lane, count)
+        if p & forbidden * ones:
+            break
+        acc = sum([(p >> k & ones) * r for k, r in low])
+        if acc & high * ones:
+            break
+        parts.append(_relane(format(acc, f"0{lane * count}b").encode(), lane, n, count))
+        words += count
     return b"".join(parts).decode(), words
 
 

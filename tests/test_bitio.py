@@ -205,6 +205,10 @@ class TestWriteValidation:
                        multiplicities=(1, 1 << 32)), "multiplicities must fit in 32 bits"),
         (ContainerMeta(algorithm="clone", n=2, rounds=1, round_input_lengths=(2,),
                        multiplicities=(-1, 5)), "multiplicities must fit in 32 bits"),
+        (ContainerMeta(algorithm="fma", n=2, m=3, original_bit_length=1 << 64),
+         "original bit length must be nonnegative and fit in 64 bits"),
+        (ContainerMeta(algorithm="mv2", n=2, rounds=1, round_input_lengths=(1 << 64,)),
+         "round lengths must be nonnegative and fit in 64 bits"),
     ])
     def test_rejects_fields_out_of_range(self, meta, message):
         flags = [] if meta.algorithm == "fma" else ["1"]

@@ -10,6 +10,8 @@ stream or bits, or the same exception class and message.
 """
 
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -71,6 +73,14 @@ def decode_both(stream, cfg):
         got = outcome(fma_decode, stream, cfg)
     path = "lanes" if lanes.called else "per-chunk" if chunk.called else None
     return got, per_chunk(fma_decode, stream, cfg), path
+
+
+def lane_words(payload, cfg):
+    """Words the lane kernel decodes before it hands the rest of `payload`
+    to the per-chunk path."""
+    n, m = cfg.chunk_width, cfg.target_width
+    lanes = fma._lane_weights(cfg.weight_system, m, n)
+    return fma._decode_lanes(payload, m, n, *lanes)[1]
 
 
 def encodable_values(cfg):
@@ -296,6 +306,7 @@ def test_lanes_match_per_chunk_path(ws, n, m):
         payloads.append("".join(words[:spot] + [big] + words[spot + 1:]))
     for block in (7 * m, 1 << 16):
         with mock.patch.object(multichannel, "_BLOCK_BITS", block):
+            assert lane_words(valid, cfg) == 40
             outcomes = []
             for payload in payloads:
                 got, ref, path = decode_both(FmaStream(payload, 40 * n), cfg)
@@ -371,11 +382,29 @@ class TestLaneMisses:
         assert fma._lane_weights(ws, m, n)[0] == lane
         stream, bits = canonical_stream(cfg, 12)
         assert decode_both(stream, cfg) == (("ok", bits), ("ok", bits), "lanes")
+        assert lane_words(stream.payload, cfg) == 12
         payload = "1" * m + stream.payload[m:]
         got, ref, path = decode_both(
             FmaStream(payload, stream.original_bit_length), cfg)
         assert got == ref and path == "lanes"
         assert got[0] is InvalidChunkError
+
+
+def test_decode_keeps_nothing_but_its_output():
+    # two decodes of different lengths, each one block of lanes: once a
+    # decode returns, no object sized by its block stays alive
+    cfg = FmaConfig(chunk_width=4, policy="keyed", seed=3)
+    rng = random.Random(4)
+    streams = [fma_encode(format(rng.getrandbits(k), f"0{k}b"), cfg)
+               for k in (4000, 32000, 20000)]
+    fma_decode(streams[0], cfg)  # the per-system tables, built once
+    tracemalloc.start()
+    try:
+        outputs = [fma_decode(stream, cfg) for stream in streams[1:]]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - sum(map(sys.getsizeof, outputs)) < 64 << 10
 
 
 @pytest.mark.parametrize("shift", [-5, 5])
