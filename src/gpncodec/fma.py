@@ -19,36 +19,38 @@ value (`gpn._ranking`), built once per weight system, width and N: at most
 there are. N and M are held to the container's limits, 1-16 and 1-255,
 which bounds that table.
 
-Whole-stream encode cuts the stream into chunks with the key cutter of
-the core+flag rounds (`multichannel._pieces`), a block of characters at a
-time, and looks them up in a chunk table when the call is long enough to
-pay for it, by the rounds' rule (`multichannel._table_pays`): keys at most
-12 bits wide and at least four lookups per table entry. The table must
-also hold at most four words per chunk encoded, since slowly growing
-weights give a value very many words. It maps each N-bit chunk string to
-its sorted words, from one ordered pass over the words of value below 2^N
-(`gpn._words_by_value`).
+Whole-stream encode reads the chunk values a block at a time through the
+lane reader of the core+flag rounds (`multichannel._pieces`), and runs one
+loop over them. When the call is long enough to pay for it, by the rounds'
+rule (`multichannel._table_pays`): keys at most 12 bits wide and at least
+four lookups per table entry, each value's words come from a chunk table.
+The table must also hold at most four words per chunk encoded, since
+slowly growing weights give a value very many words. It lists each N-bit
+value's sorted words, indexed by the value, from one ordered pass over
+the words of value below 2^N (`gpn._words_by_value`). A forbidden value's
+list is empty, so its `selector % 0` hands that block's values to the
+unranking loop, which names the value.
 
 Decode checks the word count against the recorded length first. It then
-sums each word's value in its own lane of one int per block
-(`_decode_lanes`), over the positions whose weight is below 2^N; a mask of
-the other positions finds words that use them. Lanes are L = max(M, N,
-bits of the sum of those weights) wide: no lane's value reaches 2^L, so
-none carries into the next, and every chunk fits in its lane. One helper,
-`_relane`, moves characters between lane widths by one strided copy per
-kept column: it widens each word to L bits with zeros where L > M, and
-cuts the low N bits of each lane out of the sum. The per-chunk functions
-stay the reference path: from the first block the lanes refuse (a non-bit
-character, a forbidden position, a value of 2^N or more) decode runs one
-word at a time through them, so every output bit and every error is the
-same as theirs.
+reads the payload through the same reader (`multichannel._lanes`), each
+word in its own lane of one int per block, and sums each word's value in
+its lane (`_decode_lanes`), over the positions whose weight is below 2^N;
+a mask of the other positions finds words that use them. Lanes are
+L = max(M, N, bits of the sum of those weights) wide: no lane's value
+reaches 2^L, so none carries into the next, and every chunk fits in its
+lane. One helper, `multichannel._relane`, moves characters between lane
+widths by one strided copy per kept column: the reader widens each word
+to L bits with zeros where L > M, and decode cuts the low N bits of each
+lane out of the sum. The per-chunk functions stay the reference path:
+from the first block the lanes refuse (a non-bit character, a forbidden
+position, a value of 2^N or more) decode runs one word at a time through
+them, so every output bit and every error is the same as theirs.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import multichannel
-from .bitio import MAX_SYMBOL_WIDTH, POLICY_IDS, _int_lenient, check_target_width
+from .bitio import MAX_SYMBOL_WIDTH, POLICY_IDS, check_target_width
 from .errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -62,7 +64,7 @@ from .gpn import (
     evaluate,
     representation_count,
 )
-from .multichannel import _TABLE_SHARE, _pieces, _table_pays
+from .multichannel import _TABLE_SHARE, _lanes, _pieces, _relane, _table_pays
 from .prng import indexed_draws
 
 __all__ = [
@@ -134,11 +136,10 @@ class FmaStream:
 
 
 @lru_cache(maxsize=64)
-def _chunk_table(ws: WeightSystem, m: int, n: int) -> dict[str, tuple[str, ...]]:
-    """Chunk string -> sorted representations, forbidden values left out."""
-    return {format(v, f"0{n}b"): tuple(reps)
-            for v, reps in enumerate(_words_by_value(ws.weights(m), (1 << n) - 1))
-            if reps}
+def _chunk_table(ws: WeightSystem, m: int, n: int) -> list[list[str]]:
+    """Each N-bit value's sorted representations, indexed by the value;
+    a forbidden value's list is empty."""
+    return _words_by_value(ws.weights(m), (1 << n) - 1)
 
 
 def _chunk_table_pays(cfg: FmaConfig, chunks: int) -> bool:
@@ -161,44 +162,28 @@ def _selectors(cfg: FmaConfig, first: int, count: int):
     return indexed_draws(cfg.seed, first, count)
 
 
-def _encode_table(padded: str, cfg: FmaConfig) -> str:
-    """Table encode of a padded bit string; KeyError on any chunk the
-    per-chunk path would reject or read differently."""
-    table = _chunk_table(cfg.weight_system, cfg.target_width, cfg.chunk_width)
-    parts = []
-    first = 0
-    for keys in _pieces(padded, cfg.chunk_width, len(padded)):
-        parts.append("".join([reps[sel % len(reps)] for reps, sel in zip(
-            map(table.__getitem__, keys), _selectors(cfg, first, len(keys)))]))
-        first += len(keys)
-    return "".join(parts)
-
-
-def _encode_values(values: list[int], cfg: FmaConfig, first: int) -> list[str]:
+def _encode_values(values: list[int], cfg: FmaConfig, first: int,
+                   table: list[list[str]] | None = None) -> list[str]:
     """Words of consecutive chunk values, the first at chunk index `first`:
-    each value's words unranked at its selector modulo their count."""
+    word `selector % count` of each value's sorted words, looked up in
+    `table` when given, else unranked, which names a forbidden value."""
+    selectors = _selectors(cfg, first, len(values))
+    if table is not None:
+        try:
+            return [reps[sel % len(reps)]
+                    for reps, sel in zip(map(table.__getitem__, values), selectors)]
+        except ZeroDivisionError:
+            pass  # a forbidden value's empty list: unranking names it
     m = cfg.target_width
     ranking = _ranking(cfg.weight_system, m, (1 << cfg.chunk_width) - 1)
     words = []
-    for value, selector in zip(values, _selectors(cfg, first, len(values))):
+    for value, selector in zip(values, selectors):
         count = ranking.count(value)
         if not count:
             raise NotRepresentableError(
                 f"value {value} is a forbidden combination at width {m}")
         words.append(ranking.unrank(value, selector % count))
     return words
-
-
-def _relane(text: bytes, width: int, lane: int, count: int) -> bytes:
-    """Each of `count` width-character pieces of `text` at the low end of a
-    lane-character lane, zero-filled above (cut to its low `lane`
-    characters if lane < width): one strided copy per kept column."""
-    if lane == width:
-        return text
-    out = bytearray(b"0" * (lane * count))
-    for j in range(1, min(width, lane) + 1):
-        out[lane - j::lane] = text[width - j::width]
-    return out
 
 
 def _lane_ones(width: int, count: int) -> int:
@@ -221,25 +206,20 @@ def _decode_lanes(payload: str, m: int, n: int, lane: int, low, forbidden: int):
     that holds a non-bit character, a forbidden bit or a value >= 2^n, each
     word's value summed in its own lane-bit lane, the first in the top lane."""
     high = (1 << lane) - (1 << n)  # lane bits n..lane-1
-    step = max(1, multichannel._BLOCK_BITS // m) * m
     parts, words = [], 0
-    for lo in range(0, len(payload), step):
-        block = payload[lo:lo + step]
-        count = len(block) // m
-        if _int_lenient(block):
-            break
-        try:
-            p = int(_relane(block.encode(), m, lane, count), 2)
-        except ValueError:
-            break  # a non-bit character: the block reruns per chunk
-        ones = _lane_ones(lane, count)
-        if p & forbidden * ones:
-            break
-        acc = sum([(p >> k & ones) * r for k, r in low])
-        if acc & high * ones:
-            break
-        parts.append(_relane(format(acc, f"0{lane * count}b").encode(), lane, n, count))
-        words += count
+    try:
+        for p, count in _lanes(payload, m, lane, len(payload)):
+            ones = _lane_ones(lane, count)
+            if p & forbidden * ones:
+                break
+            acc = sum([(p >> k & ones) * r for k, r in low])
+            if acc & high * ones:
+                break
+            parts.append(_relane(format(acc, f"0{lane * count}b").encode(),
+                                 lane, n, count))
+            words += count
+    except ValueError:
+        pass  # a non-bit character: the rest reruns per chunk
     return b"".join(parts).decode(), words
 
 
@@ -267,20 +247,14 @@ def fma_encode(bits: str, cfg: FmaConfig) -> FmaStream:
     """Encode a bit string chunk by chunk, zero-padding the tail chunk."""
     n = cfg.chunk_width
     padded = bits + "0" * (-len(bits) % n)
-    payload = None
+    table = None
     if _chunk_table_pays(cfg, len(padded) // n):
-        try:
-            payload = _encode_table(padded, cfg)
-        except KeyError:
-            pass  # the per-chunk path below raises the matching error
-    if payload is None:
-        if padded.strip("01"):  # int(chunk, 2) would read "_" and blanks
-            raise ValueError("input is not a clean bit string")
-        words = []
-        for keys in _pieces(padded, n, len(padded)):
-            words += _encode_values([int(key, 2) for key in keys], cfg, len(words))
-        payload = "".join(words)
-    return FmaStream(payload=payload, original_bit_length=len(bits))
+        table = _chunk_table(cfg.weight_system, cfg.target_width, n)
+    parts, first = [], 0
+    for values in _pieces(padded, n, len(padded)):
+        parts.append("".join(_encode_values(values, cfg, first, table)))
+        first += len(values)
+    return FmaStream(payload="".join(parts), original_bit_length=len(bits))
 
 
 def fma_decode(stream: FmaStream, cfg: FmaConfig) -> str:

@@ -21,7 +21,7 @@ this module.
 import math
 import threading
 from functools import lru_cache
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import NotRepresentableError
 
@@ -41,6 +41,12 @@ class WeightSystem:
     def __init__(self, kind: str, *, b: int = 0, deformation: tuple[int, ...] = ()):
         if kind not in self._KINDS:
             raise ValueError(f"unknown weight system kind {kind!r}")
+        try:
+            b, deformation = index(b), tuple(map(index, deformation))
+        except TypeError:
+            raise ValueError(
+                "weight system parameters must be integers, got "
+                f"b={b!r}, deformation={deformation!r}") from None
         if kind == "b_radix" and b < 2:
             raise ValueError(f"radix base must be >= 2, got {b}")
         if kind == "deformed_fibonacci":

@@ -31,10 +31,10 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice
 from operator import getitem, index, itemgetter
 
-from .bitio import MAX_SYMBOL_WIDTH
+from .bitio import MAX_SYMBOL_WIDTH, _int_lenient
 from .errors import (
     BitAlignmentError,
     ClassOverflowError,
@@ -43,7 +43,7 @@ from .errors import (
     MalformedFlagError,
     UnknownCodewordError,
 )
-from .prng import keyed_shuffle
+from .prng import _unpack, keyed_shuffle
 
 # Rounds look symbols up g at a time through tables of 2^(g*N) entries:
 # keys are at most _KEY_BITS wide, and a round uses g only when it has at
@@ -52,11 +52,50 @@ from .prng import keyed_shuffle
 _KEY_BITS = 12
 _TABLE_SHARE = 4
 # Characters handled per block: input bits (round and fma encode), flag
-# bits (round decode) or payload bits (fma decode); bounds the key
-# strings, and the per-symbol decode lists, alive at once.
+# bits (round decode) or payload bits (fma decode); bounds the lane ints
+# (`_lanes`), and the per-symbol decode lists, alive at once.
 _BLOCK_BITS = 1 << 16
 # the two halves of a table entry
 _first, _second = itemgetter(0), itemgetter(1)
+
+
+def _relane(text: bytes, width: int, lane: int, count: int) -> bytes:
+    """Each of `count` width-character pieces of `text` at the low end of a
+    lane-character lane, zero-filled above (cut to its low `lane`
+    characters if lane < width): one strided copy per kept column."""
+    if lane == width:
+        return text
+    out = bytearray(b"0" * (lane * count))
+    for j in range(1, min(width, lane) + 1):
+        out[lane - j::lane] = text[width - j::width]
+    return out
+
+
+def _lanes(text: str, width: int, lane: int, end: int):
+    """(P, count) for each block of text[:end], where end is a multiple of
+    width, of at most _BLOCK_BITS characters (one piece when width is
+    wider): P holds the block's `count` width-bit pieces, each in its own
+    lane-bit lane (lane >= width), the first piece in the top lane.
+    ValueError at the first block that holds a non-bit character."""
+    step = max(1, _BLOCK_BITS // width) * width
+    for lo in range(0, end, step):
+        block = text[lo:min(lo + step, end)]
+        count = len(block) // width
+        try:
+            if _int_lenient(block):
+                raise ValueError
+            p = int(_relane(block.encode(), width, lane, count), 2)
+        except ValueError:
+            raise ValueError("input is not a clean bit string") from None
+        yield p, count
+
+
+def _pieces(text: str, width: int, end: int):
+    """The values of the consecutive width-bit pieces of text[:end], where
+    end is a multiple of width and width <= 16: a list per block of
+    `_lanes`, read from its 16-bit lanes."""
+    for p, count in _lanes(text, width, 16, end):
+        yield _unpack(p, "H", count)[::-1].tolist()  # first piece on top
 
 
 def flag_codeword(k: int, n: int) -> str:
@@ -101,13 +140,14 @@ class Codebook:
 
     A round reads the bijection through one table per direction and g,
     the number of symbols it looks up at a time (see `_group_size`).
-    `_encode_table(g)` maps every sequence of g symbols to its core and
-    flags; at g = 1 these are the per-symbol pairs of the reference path.
-    `_decode_table(g)` maps a flag key to a core width token such as "3s"
-    and to {core bytes: symbols}, so decode can cut each window's core
-    with one `struct.Struct`. A key is a flag run (the zeros after a '1',
-    one per class) or, when g >= 2, a group of g flag codewords, which
-    starts with '1' where a run does not.
+    `_encode_table(g)` lists the core and flags of every sequence of g
+    symbols, indexed by the sequence's g*N-bit value, as the lane reader
+    (`_pieces`) reads it; the reference path reads `encode_map` and
+    `flag_codeword` instead. `_decode_table(g)` maps a flag key to a
+    core width token such as "3s" and to {core bytes: symbols}, so decode
+    can cut each window's core with one `struct.Struct`. A key is a flag
+    run (the zeros after a '1', one per class) or, when g >= 2, a group of
+    g flag codewords, which starts with '1' where a run does not.
     """
 
     symbol_width: int
@@ -125,20 +165,23 @@ class Codebook:
         # ("encode" or "decode", g) -> table
         return {}
 
-    def _encode_table(self, g: int) -> dict[str, tuple[str, str]]:
-        """g symbols -> (core, flags), for every sequence of g symbols."""
+    def _encode_table(self, g: int) -> list[tuple[str, str]]:
+        """(core, flags) of every sequence of g symbols, indexed by the
+        sequence's g*N-bit value."""
         table = self._tables.get(("encode", g))
         if table is None:
+            n = self.symbol_width
             if g == 1:
-                flag = {k: flag_codeword(k, self.symbol_width)
-                        for k in self.class_width}
-                table = {sym: (code, flag[k])
-                         for sym, (code, k) in self.encode_map.items()}
+                flag = {k: flag_codeword(k, n) for k in self.class_width}
+                symbols = chain.from_iterable(_pieces(
+                    "".join(self.encode_map), n, n * len(self.encode_map)))
+                table = [None] * (1 << n)
+                for value, (code, k) in zip(symbols, self.encode_map.values()):
+                    table[value] = code, flag[k]
             else:
-                one, table = self._encode_table(1).items(), {"": ("", "")}
+                one, table = self._encode_table(1), [("", "")]
                 for _ in range(g):
-                    table = {s + t: (c + d, f + e) for s, (c, f) in table.items()
-                             for t, (d, e) in one}
+                    table = [(c + d, f + e) for c, f in table for d, e in one]
             self._tables["encode", g] = table
         return table
 
@@ -148,12 +191,13 @@ class Codebook:
         without codes has an empty dict; a group holding one is absent."""
         table = self._tables.get(("decode", g))
         if table is None:
-            run = {k: "0" * (self.symbol_width - k) for k in self.class_width}
+            n = self.symbol_width
+            run = {k: "0" * (n - k) for k in self.class_width}
             table = {run[k]: (f"{w}s", {}) for k, w in self.class_width.items()}
             for sym, (code, k) in self.encode_map.items():
                 table[run[k]][1][code.encode("ascii")] = sym
             if g > 1:
-                for s, (c, f) in self._encode_table(g).items():
+                for s, (c, f) in zip(_all_words(g * n), self._encode_table(g)):
                     if f not in table:
                         table[f] = (f"{len(c)}s", {})
                     table[f][1][c.encode("ascii")] = s
@@ -325,35 +369,25 @@ def _group_size(n: int, symbols: int) -> int:
 def _encode_symbols(bits: str, cb: Codebook) -> tuple[str, str]:
     """Per-symbol encode, the reference path; KeyError names a bad symbol."""
     n = cb.symbol_width
-    pairs = cb._encode_table(1)
-    encoded = [pairs[bits[i:i + n]] for i in range(0, len(bits), n)]
-    return "".join(p[0] for p in encoded), "".join(p[1] for p in encoded)
-
-
-def _pieces(text: str, width: int, end: int):
-    """Consecutive width-character pieces of text[:end], where end is a
-    multiple of width, in lists of at most _BLOCK_BITS characters."""
-    split = re.compile(f"(?s).{{{width}}}").findall
-    step = _BLOCK_BITS - _BLOCK_BITS % width
-    for lo in range(0, end, step):
-        yield split(text, lo, min(lo + step, end))
+    encoded = [cb.encode_map[bits[i:i + n]] for i in range(0, len(bits), n)]
+    return ("".join(code for code, _ in encoded),
+            "".join(flag_codeword(k, n) for _, k in encoded))
 
 
 def _encode_groups(bits: str, cb: Codebook, g: int) -> tuple[str, str] | None:
     """Table encode of whole g-symbol keys and the tail per symbol: the
-    one encode loop at every g. None on a table miss, which only a
-    non-bit character causes."""
+    one encode loop at every g. None on a non-bit character."""
     table = cb._encode_table(g)
     key_bits = g * cb.symbol_width
     full = len(bits) - len(bits) % key_bits
     cores, flags = [], []
     try:
-        for keys in _pieces(bits, key_bits, full):
-            pairs = list(map(table.__getitem__, keys))
+        for values in _pieces(bits, key_bits, full):
+            pairs = list(map(table.__getitem__, values))
             cores.append("".join(map(_first, pairs)))
             flags.append("".join(map(_second, pairs)))
         tail = _encode_symbols(bits[full:], cb)
-    except KeyError:
+    except (ValueError, KeyError):
         return None
     cores.append(tail[0])
     flags.append(tail[1])

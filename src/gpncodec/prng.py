@@ -83,12 +83,13 @@ def _blocks(start: int, step: int, count: int):
         yield z & mask, ones, mask, lanes
 
 
-def _unpack(z: int, lanes: int) -> list[int]:
-    """The 64-bit lanes of ``z``, lowest first."""
-    words = array("Q", z.to_bytes(16 * lanes, "little"))
+def _unpack(z: int, code: str, count: int) -> array:
+    """The lowest ``count`` lanes of ``z``, each as wide as an item of
+    ``array(code)``, lowest first: the one reader of the host byte order."""
+    words = array(code, z.to_bytes(count * array(code).itemsize, "little"))
     if _BIG_ENDIAN:
         words.byteswap()
-    return words[::2].tolist()
+    return words
 
 
 def indexed_draws(seed: int, first: int, count: int) -> list[int]:
@@ -97,7 +98,7 @@ def indexed_draws(seed: int, first: int, count: int) -> list[int]:
     out = []
     for z, ones, mask, lanes in _blocks(first + _GAMMA, 1, count):
         z = (_mix_lanes(z, mask) ^ (seed & _MASK64) * ones) + _GAMMA * ones
-        out += _unpack(_mix_lanes(z & mask, mask), lanes)
+        out += _unpack(_mix_lanes(z & mask, mask), "Q", 2 * lanes)[::2]
     return out
 
 
@@ -107,7 +108,7 @@ def keyed_shuffle(items, seed: int) -> list:
     n = len(out)
     draws = []
     for z, _, mask, lanes in _blocks(seed + _GAMMA, _GAMMA, n - 1):
-        draws += _unpack(_mix_lanes(z, mask), lanes)
+        draws += _unpack(_mix_lanes(z, mask), "Q", 2 * lanes)[::2]
     for i, j in zip(range(n - 1, 0, -1), map(mod, draws, range(n, 1, -1))):
         out[i], out[j] = out[j], out[i]
     return out

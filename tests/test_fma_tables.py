@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpncodec import fma, multichannel
+from gpncodec import fma, gpn, multichannel
 from gpncodec.errors import (
     BitAlignmentError,
     CorruptStreamError,
@@ -34,6 +34,7 @@ SYSTEMS = [
     WeightSystem.deformed_fibonacci((2, 1)),  # weights 1, 2, 5, 12: 4 is forbidden
     WeightSystem.b_radix(3),                  # weights 1, 3, 9: 2 is forbidden
 ]
+DEFORMED_21 = SYSTEMS[2]
 SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 12345, 2 ** 80 + 7]
 TABLE_CACHES = (fma._chunk_table,)
 
@@ -245,6 +246,46 @@ class TestErrorParity:
         tampered = FmaStream(payload[:60] + junk + payload[61:], 1200)
         got, ref, path = decode_both(tampered, cfg)
         assert got == ref and path == "lanes"
+
+    def test_forbidden_value_unranks_one_block(self):
+        # three blocks of 64 chunks, long enough for the chunk table, with
+        # the one forbidden value (4 under deformed (2, 1) at width 4) in
+        # the last: only that block's values are unranked, not the call's
+        cfg = FmaConfig(chunk_width=4, weight_system=DEFORMED_21)
+        bits = chunk_bits(random.Random(7), encodable_values(cfg), 3 * 64, 4)
+        bits = bits[:-8] + "0100" + bits[-4:]
+        with mock.patch.object(multichannel, "_BLOCK_BITS", 4 * 64):
+            got, ref, tabled = encode_both(bits, cfg)
+            with mock.patch.object(gpn._Ranking, "count", autospec=True,
+                                   side_effect=gpn._Ranking.count) as count:
+                outcome(fma_encode, bits, cfg)
+        assert got == ref == (NotRepresentableError,
+                              "value 4 is a forbidden combination at width 4")
+        assert tabled
+        # the 2^4 counts of the table's size check, and one block at most
+        assert count.call_count <= 16 + 64
+
+    @pytest.mark.parametrize("policy", ["canonical", "keyed"])
+    @pytest.mark.parametrize("chunks", [40, 192], ids=["per-chunk", "tabled"])
+    @pytest.mark.parametrize("forbidden, junk, error", [
+        (3, 16 * 4 + 9, NotRepresentableError),  # an earlier block
+        (3, 9 * 4 + 1, ValueError),              # the same block, later
+        (20, 9 * 4 + 1, ValueError),             # a later block
+    ], ids=["forbidden-first", "same-block", "junk-first"])
+    def test_first_faulty_block_reports(self, policy, chunks, forbidden, junk,
+                                        error):
+        # blocks of 16 chunks: the first block that holds a fault reports
+        # it, and within a block a non-bit character comes before a
+        # forbidden value, on both paths
+        cfg = FmaConfig(chunk_width=4, weight_system=DEFORMED_21,
+                        policy=policy, seed=5)
+        bits = chunk_bits(random.Random(chunks), encodable_values(cfg), chunks, 4)
+        bits = bits[:4 * forbidden] + "0100" + bits[4 * forbidden + 4:]
+        bits = bits[:junk] + "2" + bits[junk + 1:]
+        with mock.patch.object(multichannel, "_BLOCK_BITS", 64):
+            got, ref, tabled = encode_both(bits, cfg)
+        assert got == ref and got[0] is error
+        assert tabled == (chunks == 192)
 
 
 def test_wide_one_chunk_call_builds_no_table():

@@ -124,6 +124,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: WeightSystem.deformed_fibonacci([1.5]),
+        lambda: WeightSystem.deformed_fibonacci([2.0, 1]),
+        lambda: WeightSystem.b_radix(2.5),
+        lambda: WeightSystem.b_radix(3.0),
+    ], ids=["deformed-1.5", "deformed-2.0", "radix-2.5", "radix-3.0"])
+    def test_rejects_non_integer_parameters(self, build):
+        # deformation (1.5,) would give weights 1, 1.5, 2.25, ..., so that
+        # "11" evaluates to 2.5; an integral float is refused too, as
+        # build_clone_codebook refuses it for a multiplicity
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            build()
+
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
             weights(FIB, 0)
